@@ -1,23 +1,21 @@
-// P1 — grid fast path: kernel cache + SoA message correlation + reuse.
+// P1 — grid fast path: kernel cache + SoA message correlation.
 //
-// Measures the PR's fast-path layers at the default configuration (48-cell
-// grid, 200-node line-drop scenario) and checks the contract that makes
-// them safe to leave on: the fast path changes wall-clock only, never a
-// single output bit.
+// Measures the fast-path layers at the default configuration (48-cell
+// grid, 200-node line-drop scenario):
 //
 //  A. kernel construction — one RangeKernel::make_range per directed link
 //     vs the same lookups through KernelCache (symmetric links and repeated
 //     distances share kernels).
 //  B. message stage — computing every directed link's message (zero-fill +
 //     kernel correlation + peak normalization) over the network's published
-//     summaries, with the pre-PR kernel replay (flat stamp list, per-stamp
-//     border check and scattered write — the seed implementation,
-//     reproduced below) vs the PR's scanline-run replay. Outputs are
-//     compared bit for bit; this is the ≥ 2× acceptance headline.
-//  C. whole engine — GridBncl with the fast path on (the default) vs off
-//     (cache_kernels = reuse_messages = false), comparing the telemetry
-//     "grid.rounds" phase time and asserting every aggregate statistic of
-//     the two runs is exactly equal.
+//     summaries, with the seed kernel replay (flat stamp list, per-stamp
+//     border check and scattered write — reproduced below as the reference)
+//     vs the scanline-run replay. Outputs are compared bit for bit; this is
+//     the ≥ 2× acceptance headline.
+//  C. whole engine — the default GridBncl, reporting the telemetry
+//     "grid.rounds" phase time and its work counters. Its aggregate row is
+//     emitted under the historical `part=C,fast=1` context so the committed
+//     baselines keep diffing against it.
 #include "bench_common.hpp"
 
 #include <algorithm>
@@ -102,7 +100,7 @@ double rounds_seconds_per_trial(const obs::RunTelemetry& rt,
 int main() {
   const BenchConfig bc = BenchConfig::from_env();
   ScenarioConfig cfg = default_scenario(bc);
-  print_banner("P1", "grid fast path: kernel cache + message reuse", bc, cfg);
+  print_banner("P1", "grid fast path: kernel cache + message correlation", bc, cfg);
   BenchJson bj("P1", bc);
 
   const Scenario scenario = build_scenario(cfg);
@@ -251,69 +249,40 @@ int main() {
     }
   }
 
-  // --- C: whole engine, fast path on vs off -------------------------------
+  // --- C: whole engine -----------------------------------------------------
   {
-    GridBnclConfig fast_cfg;  // defaults: cache + reuse on
-    GridBnclConfig slow_cfg;
-    slow_cfg.cache_kernels = false;
-    slow_cfg.reuse_messages = false;
-    const GridBncl fast_engine(fast_cfg);
-    const GridBncl slow_engine(slow_cfg);
-
+    const GridBncl engine(gc);
     RunOptions opt;  // serial trials: clean per-phase timing
-    obs::RunTelemetry fast_rt, slow_rt;
-    fast_rt.trace_trials = slow_rt.trace_trials = false;
+    obs::RunTelemetry rt;
+    rt.trace_trials = false;
+    opt.telemetry = &rt;
+    const AggregateRow row = run_algorithm(engine, cfg, bc.trials, opt);
+    bj.add(row, "part=C,fast=1");
 
-    opt.telemetry = &slow_rt;
-    const AggregateRow slow_row = run_algorithm(slow_engine, cfg, bc.trials, opt);
-    opt.telemetry = &fast_rt;
-    const AggregateRow fast_row = run_algorithm(fast_engine, cfg, bc.trials, opt);
-    bj.add(slow_row, "part=C,fast=0");
-    bj.add(fast_row, "part=C,fast=1");
-
-    const double slow_ms = rounds_seconds_per_trial(slow_rt, bc.trials) * 1e3;
-    const double fast_ms = rounds_seconds_per_trial(fast_rt, bc.trials) * 1e3;
-    const auto& reg = fast_rt.aggregate.registry;
-
+    const auto& reg = rt.aggregate.registry;
+    const double per_trial = static_cast<double>(bc.trials);
     std::printf("C: whole engine (\"grid.rounds\" phase), %zu trials\n",
                 bc.trials);
-    AsciiTable t({"variant", "rounds ms/tr", "msgs computed", "msgs reused",
-                  "speedup"});
-    t.add_row({"fast off", AsciiTable::fmt(slow_ms, 1),
-               std::to_string(slow_rt.aggregate.registry.counter(
-                   "grid.messages.computed")),
-               "0", "1.00"});
-    t.add_row({"fast on", AsciiTable::fmt(fast_ms, 1),
-               std::to_string(reg.counter("grid.messages.computed")),
-               std::to_string(reg.counter("grid.messages.reused")),
-               AsciiTable::fmt(fast_ms > 0.0 ? slow_ms / fast_ms : 0.0, 2)});
+    AsciiTable t({"rounds ms/tr", "msgs computed/tr", "cell visits/tr",
+                  "kernel cells/tr"});
+    t.add_row(
+        {AsciiTable::fmt(rounds_seconds_per_trial(rt, bc.trials) * 1e3, 1),
+         AsciiTable::fmt(
+             static_cast<double>(reg.counter("grid.messages.computed")) /
+                 per_trial,
+             0),
+         AsciiTable::fmt(
+             static_cast<double>(reg.counter("grid.cell_visits")) / per_trial,
+             0),
+         AsciiTable::fmt(
+             static_cast<double>(reg.counter("grid.kernel_cells")) / per_trial,
+             0)});
     t.print(std::cout);
-    std::printf("kernels: %llu built, %llu shared; products reused: %llu\n",
+    std::printf("kernels: %llu built, %llu shared\n",
                 static_cast<unsigned long long>(
                     reg.counter("grid.kernels.built")),
                 static_cast<unsigned long long>(
-                    reg.counter("grid.kernels.shared")),
-                static_cast<unsigned long long>(
-                    reg.counter("grid.products.reused")));
-    // Work accounting: the counters behind the speedup. The reuse layer
-    // shows up directly as fewer kernel cells scanned per trial.
-    const auto& slow_reg = slow_rt.aggregate.registry;
-    std::printf("work/trial: fast off %.0f cell visits, %.0f kernel cells; "
-                "fast on %.0f cell visits, %.0f kernel cells\n",
-                static_cast<double>(slow_reg.counter("grid.cell_visits")) /
-                    static_cast<double>(bc.trials),
-                static_cast<double>(slow_reg.counter("grid.kernel_cells")) /
-                    static_cast<double>(bc.trials),
-                static_cast<double>(reg.counter("grid.cell_visits")) /
-                    static_cast<double>(bc.trials),
-                static_cast<double>(reg.counter("grid.kernel_cells")) /
-                    static_cast<double>(bc.trials));
-
-    if (!same_summaries(fast_row, slow_row)) {
-      std::printf("FAIL: fast path changed aggregate output\n");
-      return EXIT_FAILURE;
-    }
-    std::printf("bit-identity: fast on/off aggregates exactly equal\n");
+                    reg.counter("grid.kernels.shared")));
   }
   return EXIT_SUCCESS;
 }

@@ -8,6 +8,12 @@ line per bench run — `{"bench": ..., "version": ..., sizing..., "rows":
 by the (bench, context, algo) triple; when a file holds several runs of the
 same bench (appended over time), the *last* run wins.
 
+Drift is measured relative to the baseline: |current - baseline| /
+|baseline|. A tolerance X therefore admits a current value anywhere in
+[baseline * (1 - X), baseline * (1 + X)]; for a timing column, --time-tol 3.0
+fails any row that runs more than 4x slower than its baseline. A metric that
+is 0 in the baseline drifts infinitely on any change.
+
 Accuracy and protocol metrics (error statistics, coverage, messages, bytes,
 iterations) are gated: a relative drift beyond --rel-tol (default 0, i.e.
 exact — the repo's determinism contract says reruns of the same code
@@ -24,6 +30,7 @@ Exit status 0 when no gated metric drifts; 1 otherwise.
 
 import argparse
 import json
+import math
 import sys
 
 GATED = ["mean", "median", "rmse", "q90", "penalized_mean", "coverage",
@@ -53,10 +60,12 @@ def load_rows(path, bench_filter):
 
 
 def rel_drift(base, cur):
+    """|cur - base| relative to the baseline (inf when base is 0)."""
     if base == cur:
         return 0.0
-    denom = max(abs(base), abs(cur), 1e-300)
-    return abs(cur - base) / denom
+    if base == 0.0:
+        return math.inf
+    return abs(cur - base) / abs(base)
 
 
 def main():

@@ -78,43 +78,6 @@ struct TransportConfig {
   bool reboot_relays = true;
 };
 
-/// Belief-update message scheduling policy (ROADMAP item 1; the residual
-/// ordering follows the hierarchical scheduling argument of
-/// arXiv:1509.02534).
-enum class SchedulePolicy {
-  /// Process every changed link every round — the paper's broadcast
-  /// semantics and the historical engine behavior, bit for bit.
-  round_robin,
-  /// Process only the top-residual fraction of this round's *changed*
-  /// links; the rest replay their cached message and integrate the new
-  /// summary in a later round. Links whose sender went quiet cost nothing
-  /// either way (the PR 4 short circuit); this policy extends that gate
-  /// from "skip unchanged senders" to "defer barely-changed senders".
-  residual,
-};
-
-/// Residual-prioritized scheduling knobs (inference/scheduler.hpp),
-/// shared by every engine that adopts the policy. Grid-engine constraints:
-/// `residual` requires the Jacobi schedule and `reuse_messages` (a deferred
-/// link replays its cached message — without the cache there is nothing to
-/// replay).
-struct ScheduleConfig {
-  SchedulePolicy policy = SchedulePolicy::round_robin;
-  /// Fraction of this round's changed links granted integration, in
-  /// (0, 1]. The budget applies to *candidates* only — first-heard
-  /// summaries, TTL retirements, and recoveries always process — and at
-  /// least one candidate is granted per round, so progress never stalls.
-  /// 0.35 is the measured sweet spot on the default scenario (P4): ~45%
-  /// fewer grid.cell_visits at error parity; tighter budgets throttle the
-  /// mid-game and give the savings back as extra rounds.
-  double link_budget_frac = 0.35;
-  /// Staleness floor: the maximum consecutive rounds a changed link may be
-  /// deferred. A link that exhausts the floor is promoted past the budget
-  /// (counted in `sched.starvation_promotions`), bounding how stale any
-  /// integrated summary can be. Must be >= 1 under the residual policy.
-  std::size_t starvation_rounds = 4;
-};
-
 /// Outer-loop iteration and link-layer knobs shared by every engine.
 struct IterationConfig {
   /// Hard cap on belief-propagation rounds.

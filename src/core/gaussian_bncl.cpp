@@ -15,9 +15,15 @@
 
 namespace bnloc {
 
+std::string GaussianBncl::config_error(const GaussianBnclConfig& config) {
+  if (!(config.damping >= 0.0 && config.damping < 1.0))
+    return "damping must be in [0, 1)";
+  return {};
+}
+
 GaussianBncl::GaussianBncl(GaussianBnclConfig config) : config_(config) {
-  BNLOC_ASSERT(config_.damping >= 0.0 && config_.damping < 1.0,
-               "damping must be in [0, 1)");
+  const std::string error = config_error(config_);
+  BNLOC_ASSERT(error.empty(), error.c_str());
 }
 
 LocalizationResult GaussianBncl::localize(const Scenario& scenario,

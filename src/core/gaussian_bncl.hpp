@@ -40,7 +40,12 @@ struct GaussianBnclConfig {
 
 class GaussianBncl final : public Localizer {
  public:
+  /// Asserts config_error(config) is empty.
   explicit GaussianBncl(GaussianBnclConfig config = {});
+
+  /// Why `config` cannot run (the constructor's preconditions), or empty
+  /// when it can.
+  [[nodiscard]] static std::string config_error(const GaussianBnclConfig& config);
 
   [[nodiscard]] std::string name() const override {
     std::string name = config_.robustness.robust_likelihood

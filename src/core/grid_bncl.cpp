@@ -10,7 +10,6 @@
 #include "inference/kernel_cache.hpp"
 #include "inference/pyramid.hpp"
 #include "inference/range_kernel.hpp"
-#include "inference/scheduler.hpp"
 #include "net/summary_channel.hpp"
 #include "net/sync_radio.hpp"
 #include "obs/telemetry.hpp"
@@ -20,29 +19,24 @@
 
 namespace bnloc {
 
+std::string GridBncl::config_error(const GridBnclConfig& config) {
+  if (!(config.damping >= 0.0 && config.damping < 1.0))
+    return "damping must be in [0, 1)";
+  if (config.grid_side < 8) return "grid_side must be >= 8";
+  if (config.pyramid_levels < 1) return "pyramid_levels must be >= 1";
+  if (config.pyramid_roi_margin < 0)
+    return "pyramid_roi_margin must be >= 0";
+  if (config.transport.async && config.schedule != UpdateSchedule::jacobi)
+    return "async transport requires the Jacobi schedule";
+  if (!(config.robustness.update_quorum >= 0.0 &&
+        config.robustness.update_quorum <= 1.0))
+    return "update_quorum must be in [0, 1]";
+  return {};
+}
+
 GridBncl::GridBncl(GridBnclConfig config) : config_(std::move(config)) {
-  BNLOC_ASSERT(config_.damping >= 0.0 && config_.damping < 1.0,
-               "damping must be in [0, 1)");
-  BNLOC_ASSERT(config_.grid_side >= 8, "grid too coarse to be meaningful");
-  BNLOC_ASSERT(config_.pyramid_levels >= 1,
-               "pyramid needs at least one level");
-  BNLOC_ASSERT(config_.pyramid_roi_margin >= 0,
-               "ROI margin cannot be negative");
-  BNLOC_ASSERT(!config_.transport.async ||
-                   config_.schedule == UpdateSchedule::jacobi,
-               "async transport requires the Jacobi schedule");
-  BNLOC_ASSERT(config_.robustness.update_quorum >= 0.0 &&
-                   config_.robustness.update_quorum <= 1.0,
-               "update quorum must be a fraction");
-  if (config_.sched.policy == SchedulePolicy::residual) {
-    BNLOC_ASSERT(config_.schedule == UpdateSchedule::jacobi,
-                 "residual scheduling requires the Jacobi schedule "
-                 "(Gauss-Seidel re-versions summaries mid-round, so a "
-                 "pre-round scan cannot rank them)");
-    BNLOC_ASSERT(config_.reuse_messages,
-                 "residual scheduling requires reuse_messages: a deferred "
-                 "link replays its cached message");
-  }
+  const std::string error = config_error(config_);
+  BNLOC_ASSERT(error.empty(), error.c_str());
 }
 
 std::string GridBncl::name() const {
@@ -50,7 +44,6 @@ std::string GridBncl::name() const {
       config_.use_negative_evidence ? "bncl-grid" : "bncl-grid-noneg";
   if (config_.robustness.robust_likelihood) name += "-robust";
   if (config_.transport.async) name += "-async";
-  if (config_.sched.policy == SchedulePolicy::residual) name += "-sched";
   return name;
 }
 
@@ -184,48 +177,15 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
           ? two_hop_nonlinks(scenario, config_.negative_max_pairs,
                              pool ? &*pool : nullptr)
           : std::vector<std::vector<std::size_t>>();
-  std::vector<std::size_t> nl_offset(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i)
-    nl_offset[i + 1] = nl_offset[i] + (nonlinks.empty() ? 0 : nonlinks[i].size());
-  const std::size_t n_nonlinks = nl_offset[n];
 
   // --- Published summaries (the "network state") --------------------------
-  // Each node's published summary carries a version (a global publish
-  // sequence number): receivers key cached incoming messages on it, so a
-  // summary that did not change between rounds never pays for the same
-  // kernel correlation twice. Versions survive level switches (the cell-id
-  // payloads are translated; the messages built from them are not, but the
-  // per-level caches are flushed anyway).
+  // Each node's newest published summary and the one before it: a sync
+  // receiver whose delivery was lost this round still holds the previous
+  // copy. Async publishes carry a global sequence number, which the
+  // channel uses to gate duplicates and reordering.
   std::vector<SparseBelief> cur_pub(n), prev_pub(n);
-  std::vector<std::uint64_t> cur_ver(n, 0), prev_ver(n, 0);
   std::uint64_t pub_seq = 0;
   std::vector<unsigned char> ever_published(n, 0);
-
-  // --- Residual-prioritized scheduling (ROADMAP item 1) -------------------
-  // Sender-side residual accounting, exact and transport-agnostic: every
-  // publish appends the sender's running residual total (the TV its belief
-  // moved since the previous publish, accumulated over its lifetime) to
-  // `ver_accum`, indexed by the global publish version. A receiver records
-  // the accumulator value of the version it last integrated per slot
-  // (`seen_accum`); the pending residual of a changed link is then
-  // ver_accum[new] - seen_accum[slot] — the sum of every publish the
-  // receiver has not folded in yet, even when the async transport skipped
-  // intermediate versions. All three arrays persist across pyramid levels
-  // (versions do too).
-  const bool sched_enabled =
-      config_.sched.policy == SchedulePolicy::residual;
-  std::vector<double> pub_residual(sched_enabled ? n : 0, 0.0);
-  std::vector<double> node_res_accum(sched_enabled ? n : 0, 0.0);
-  std::vector<double> ver_accum;
-  std::vector<double> seen_accum(
-      sched_enabled ? n_links + n_nonlinks : 0, 0.0);
-  std::optional<ResidualScheduler> sched;
-  std::vector<std::uint32_t> sched_cand_scratch;
-  if (sched_enabled) {
-    ver_accum.reserve(4 * n);
-    ver_accum.push_back(0.0);  // version 0 = never published
-    sched.emplace(config_.sched, n_links + n_nonlinks);
-  }
 
   // Transport. Both radios draw from the same substream salt, so a config
   // differing only in `transport.async` compares the same scenario under
@@ -292,8 +252,7 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
   std::vector<double> node_change(n, -1.0);
   // Per-node message counters, summed serially after the sweep so the hot
   // loop takes no telemetry lock.
-  std::vector<std::uint32_t> node_msgs_computed(n, 0), node_msgs_reused(n, 0);
-  std::vector<std::uint32_t> node_prods_reused(n, 0);
+  std::vector<std::uint32_t> node_msgs_computed(n, 0);
   // Work accounting (ROADMAP item 1's gate currency), same pattern: each
   // dense belief op over a node's ROI charges one visit per cell touched;
   // each computed message charges summary-cells × kernel stamps. Plain
@@ -304,7 +263,7 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
   // serially).
   std::vector<unsigned char> node_quorum_held(n, 0);
   // Publish-phase two-pass state: pass 1 fills each node's candidate
-  // summary in parallel; pass 2 commits versions and metered traffic
+  // summary in parallel; pass 2 commits sequence numbers and metered traffic
   // serially in node order (bit-identical at any thread count).
   std::vector<SparseBelief> pub_candidate(n);
   std::vector<unsigned char> will_publish(n, 0);
@@ -450,105 +409,42 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
     // shape are fixed for the level), so the cache shares one kernel across
     // symmetric link directions and coincident measurements; receivers that
     // act as anchors never consume theirs and are skipped outright.
+    // `process` scope swaps the per-run cache for the process-global
+    // registry shard of this (ranging, shape) parameter set: same pure
+    // kernels, but construction cost is shared with every other run in
+    // the process. Per-lookup outcomes are metered so a run can report
+    // its own hit rate against the shared cache.
     std::optional<KernelCache> kcache;
-    std::vector<RangeKernel> owned_kernels;
     std::vector<const RangeKernel*> link_kernel(n_links, nullptr);
-    if (config_.cache_kernels) {
-      // `process` scope swaps the per-run cache for the process-global
-      // registry shard of this (ranging, shape) parameter set: same pure
-      // kernels, but construction cost is shared with every other run in
-      // the process. Per-lookup outcomes are metered so a run can report
-      // its own hit rate against the shared cache.
-      const bool process_scope = config_.kernel_scope == KernelScope::process;
-      KernelCache& cache =
-          process_scope ? KernelCacheRegistry::instance().acquire(ranging, shape)
-                        : kcache.emplace(ranging, shape);
-      std::size_t run_built = 0;
-      std::size_t run_shared = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (acts_anchor[i]) continue;
-        const auto nbs = scenario.graph.neighbors(i);
-        for (std::size_t k = 0; k < nbs.size(); ++k) {
-          bool built = false;
-          link_kernel[kernel_offset[i] + k] = cache.range(nbs[k].weight, &built);
-          if (built)
-            ++run_built;
-          else
-            ++run_shared;
-        }
+    const bool process_scope = config_.kernel_scope == KernelScope::process;
+    KernelCache& cache =
+        process_scope ? KernelCacheRegistry::instance().acquire(ranging, shape)
+                      : kcache.emplace(ranging, shape);
+    std::size_t run_built = 0;
+    std::size_t run_shared = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (acts_anchor[i]) continue;
+      const auto nbs = scenario.graph.neighbors(i);
+      for (std::size_t k = 0; k < nbs.size(); ++k) {
+        bool built = false;
+        link_kernel[kernel_offset[i] + k] = cache.range(nbs[k].weight, &built);
+        if (built)
+          ++run_built;
+        else
+          ++run_shared;
       }
-      obs::count("grid.kernels.built", run_built);
-      obs::count("grid.kernels.shared", run_shared);
-      if (process_scope) {
-        obs::count("grid.kernels.process.miss", run_built);
-        obs::count("grid.kernels.process.hit", run_shared);
-      }
-    } else {
-      owned_kernels.reserve(n_links);
-      for (std::size_t i = 0; i < n; ++i)
-        for (const Neighbor& nb : scenario.graph.neighbors(i))
-          owned_kernels.push_back(
-              RangeKernel::make_range(nb.weight, ranging, shape));
-      for (std::size_t s = 0; s < n_links; ++s)
-        link_kernel[s] = &owned_kernels[s];
-      obs::count("grid.kernels.built", n_links);
+    }
+    obs::count("grid.kernels.built", run_built);
+    obs::count("grid.kernels.shared", run_shared);
+    if (process_scope) {
+      obs::count("grid.kernels.process.miss", run_built);
+      obs::count("grid.kernels.process.hit", run_shared);
     }
 
     const RangeKernel conn_kernel =
         config_.use_negative_evidence
             ? RangeKernel::make_connectivity(scenario.radio, shape)
             : RangeKernel();
-
-    // --- Message reuse slots ----------------------------------------------
-    // One dense buffer per directed link / non-link, holding the last
-    // message computed for it and the summary version it came from. A
-    // message is a pure function of (kernel, summary), so replaying the
-    // stored copy is bit-identical to recomputing it. Degrades to recompute
-    // when the footprint would blow the configured budget. Rebuilt per
-    // level: a message computed at one resolution means nothing at another.
-    bool reuse = config_.reuse_messages;
-    if (reuse) {
-      const std::size_t bytes = (n_links + n_nonlinks) * cells * sizeof(double);
-      if (bytes > config_.message_cache_mb * std::size_t{1024} * 1024)
-        reuse = false;
-    }
-    std::optional<BeliefStore> msg_store;
-    std::vector<std::uint64_t> msg_ver;   // version cached per slot; 0 = none
-    std::vector<unsigned char> msg_skip;  // cached "message had no support"
-    if (reuse) {
-      msg_store.emplace(shape, n_links + n_nonlinks);
-      msg_ver.assign(n_links + n_nonlinks, 0);
-      msg_skip.assign(n_links + n_nonlinks, 0);
-    }
-
-    // Residual scheduling needs the message cache to replay deferred links
-    // from; when the memory budget degraded `reuse` above, the scheduler
-    // degrades with it — every changed link processes, still correct. A
-    // level switch wipes the deferral debt: the per-level caches restart,
-    // so every slot's first integration at this resolution must process.
-    const bool sched_active = sched_enabled && reuse;
-    if (sched_enabled) sched->reset_level();
-
-    // Whole-product reuse: a node whose *every* input is unchanged since
-    // its last recompute (same summary versions, same delivery/TTL
-    // outcomes) would rebuild the exact same pre-damping message product —
-    // so that product is kept per node and replayed outright, skipping the
-    // whole message loop. Cheap (one extra belief per node) so not under
-    // the slot budget; in late rounds, when rebroadcast suppression quiets
-    // most of the network, this collapses the round cost to a copy +
-    // damping per node.
-    const bool reuse_products = config_.reuse_messages;
-    // Per-input-slot signature of what the last recompute consumed: the
-    // summary version used, or the marker for "contributed nothing" (TTL).
-    constexpr std::uint64_t kSigTtlSkip = ~std::uint64_t{0};
-    std::optional<BeliefStore> product;
-    std::vector<unsigned char> have_product;
-    std::vector<std::uint64_t> in_sig;
-    if (reuse_products) {
-      product.emplace(shape, n);
-      have_product.assign(n, 0);
-      in_sig.assign(n_links + n_nonlinks, kSigTtlSkip - 1);
-    }
 
     std::vector<double> msg(cells);
 
@@ -605,9 +501,9 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
         sync_radio->begin_round();
 
       // Reboot cold restart. A rebooted node's RAM is gone: its belief
-      // restarts from the prior, its publish state resets (so the
-      // informative/TV gates treat it as a newcomer), and its cached
-      // product is invalid. Receiver-side state differs per transport: the
+      // restarts from the prior and its publish state resets (so the
+      // informative/TV gates treat it as a newcomer). Receiver-side state
+      // differs per transport: the
       // async channel already wiped the inbox; the sync radio's shared
       // cur_pub/prev_pub model the *senders'* state and stay readable (the
       // idealization is a flash-persisted summary cache), with a TTL grace
@@ -633,28 +529,6 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
         ever_published[r] = 0;
         cur_pub[r] = SparseBelief{};
         prev_pub[r] = SparseBelief{};
-        cur_ver[r] = 0;
-        prev_ver[r] = 0;
-        if (reuse_products) have_product[r] = 0;
-        // Residual policy: a fresh boot owes nothing and is owed nothing —
-        // its input signatures reset to "never integrated", so every slot
-        // counts as first-heard (always processed, never a deferral
-        // candidate) until the rebuilt belief has integrated each neighbor
-        // once. Guarded so round_robin runs keep the historical state
-        // untouched bit for bit.
-        if (sched_active) {
-          for (std::size_t s = kernel_offset[r]; s < kernel_offset[r + 1];
-               ++s) {
-            in_sig[s] = kSigTtlSkip - 1;
-            sched->reset_slot(s);
-          }
-          if (config_.use_negative_evidence)
-            for (std::size_t s = n_links + nl_offset[r];
-                 s < n_links + nl_offset[r + 1]; ++s) {
-              in_sig[s] = kSigTtlSkip - 1;
-              sched->reset_slot(s);
-            }
-        }
         if (!last_heard.empty())
           for (std::size_t s = kernel_offset[r]; s < kernel_offset[r + 1];
                ++s)
@@ -709,18 +583,6 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
           const double tv = beliefops::total_variation_in(
               belief[u], last_pub_dense[u], side, roi[u]);
           if (tv <= config_.rebroadcast_tol) return;
-          if (sched_enabled) pub_residual[u] = tv;
-        } else if (sched_enabled) {
-          // Residual of a forced or first publish: the TV against the last
-          // published copy when one exists, else full mass — a first
-          // announcement is maximally newsworthy, so receivers never defer
-          // their bootstrap.
-          pub_residual[u] =
-              ever_published[u]
-                  ? beliefops::total_variation_in(belief[u],
-                                                  last_pub_dense[u], side,
-                                                  roi[u])
-                  : 1.0;
         }
         beliefops::sparsify_in(belief[u], side, roi[u], config_.support_mass,
                                pub_cap, pub_candidate[u],
@@ -744,120 +606,23 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
         } else {
           for (std::size_t u = 0; u < n; ++u) decide_publish(u, order_scratch);
         }
-        // Pass 2 (serial, node order): version numbers and metered traffic
+        // Pass 2 (serial, node order): sequence numbers and metered traffic
         // are order-sensitive, so they commit in node order regardless of how
         // pass 1 was scheduled.
         for (std::size_t u = 0; u < n; ++u) {
           if (!will_publish[u]) continue;
-          const std::uint64_t ver = ++pub_seq;
           prev_pub[u] = ever_published[u] ? std::move(cur_pub[u])
                                           : pub_candidate[u];
-          prev_ver[u] = ever_published[u] ? cur_ver[u] : ver;
           cur_pub[u] = std::move(pub_candidate[u]);
-          cur_ver[u] = ver;
           ever_published[u] = 1;
-          if (sched_enabled) {
-            // ver_accum is indexed by the global publish version, so the
-            // serial commit order keeps it aligned with pub_seq exactly.
-            node_res_accum[u] += pub_residual[u];
-            ver_accum.push_back(node_res_accum[u]);
-          }
           if (async) {
-            channel->publish(u, ver, cur_pub[u], cur_pub[u].payload_bytes());
+            channel->publish(u, ++pub_seq, cur_pub[u],
+                             cur_pub[u].payload_bytes());
             if (heartbeat > 0) last_pub_round[u] = iter + 1;
           } else {
             sync_radio->record_broadcast(u, cur_pub[u].payload_bytes());
           }
         }
-      }
-
-      // Scan phase (residual policy): rank this round's changed links by
-      // pending residual and defer everything below the budget. Serial, in
-      // node order, over pure per-round reads (delivery flags are stable
-      // within a round; the channel getters are const), so the decision
-      // bitmap — the only thing the parallel update phase sees — is a pure
-      // function of the round's inputs: bit-identical at any thread count,
-      // and identical under async replay.
-      //
-      // The priority is *receiver-coherent*: every changed link of a
-      // receiver carries the receiver's total pending residual (the sum,
-      // over its changed links, of sender residual it has not integrated).
-      // SPAWN rebuilds the whole product the moment any one input changes,
-      // so the engine's cost unit is the receiver's rebuild, not the link:
-      // granting one link of a receiver forces the full rebuild anyway,
-      // while deferring all of them collapses the receiver to the
-      // whole-product fast path — the node-granular flavor of residual
-      // scheduling (residual-splash BP), expressed through the per-link
-      // queue. Equal priorities sort adjacently (ties broken on node, then
-      // slot), so the budget cut lands on receiver boundaries.
-      //
-      // Only changed links whose old and new signatures are both real
-      // versions are deferral-eligible; first-heard summaries, TTL
-      // retirements, revivals, and silence transitions always process
-      // (they are exactly the transitions where a stale replay would be
-      // wrong or impossible). A receiver holding any such transition
-      // rebuilds this round regardless, so its other changed links are
-      // granted too rather than pointlessly deferred.
-      if (sched_active) {
-        const obs::Span sched_span("grid.sched");
-        const std::size_t scan_ttl = config_.robustness.stale_ttl;
-        sched->begin_round();
-        double pending_sum = 0.0;
-        bool force_rebuild = false;
-        const auto classify = [&](std::size_t slot, std::uint64_t sig) {
-          const std::uint64_t old = in_sig[slot];
-          if (sig == old) return;  // quiet link: costs nothing either way
-          if (sig == 0 || sig == kSigTtlSkip || old == 0 ||
-              old >= kSigTtlSkip - 1) {
-            force_rebuild = true;
-            return;
-          }
-          pending_sum += ver_accum[sig] - seen_accum[slot];
-          sched_cand_scratch.push_back(static_cast<std::uint32_t>(slot));
-        };
-        for (std::size_t i = 0; i < n; ++i) {
-          if (acts_anchor[i] || radio_crashed(i)) continue;
-          sched_cand_scratch.clear();
-          pending_sum = 0.0;
-          force_rebuild = false;
-          const auto nbs = scenario.graph.neighbors(i);
-          for (std::size_t k = 0; k < nbs.size(); ++k) {
-            const std::size_t slot = kernel_offset[i] + k;
-            std::uint64_t sig;
-            if (async) {
-              sig = channel->version(slot);
-              if (sig != 0 && scan_ttl > 0 &&
-                  iter + 1 - channel->heard_round(slot) > scan_ttl)
-                sig = kSigTtlSkip;
-            } else {
-              const bool fresh = sync_radio->delivered(nbs[k].node, i);
-              sig = fresh ? cur_ver[nbs[k].node] : prev_ver[nbs[k].node];
-              if (scan_ttl > 0) {
-                const std::size_t heard = fresh ? iter + 1 : last_heard[slot];
-                if (iter + 1 - heard > scan_ttl) sig = kSigTtlSkip;
-              }
-            }
-            classify(slot, sig);
-          }
-          if (config_.use_negative_evidence) {
-            const auto& nls = nonlinks[i];
-            for (std::size_t k = 0; k < nls.size(); ++k) {
-              std::uint64_t sig = cur_ver[nls[k]];
-              if (scan_ttl > 0 && radio_crashed(nls[k])) sig = kSigTtlSkip;
-              classify(n_links + nl_offset[i] + k, sig);
-            }
-          }
-          if (!force_rebuild)
-            for (const std::uint32_t slot : sched_cand_scratch)
-              sched->add_candidate(static_cast<std::uint32_t>(i), slot,
-                                   pending_sum);
-        }
-        sched->commit_round();
-        const ScheduleRoundStats& st = sched->round_stats();
-        obs::count("sched.links_processed", st.processed);
-        obs::count("sched.links_deferred", st.deferred);
-        if (st.promotions)
-          obs::count("sched.starvation_promotions", st.promotions);
       }
 
       // Update phase: rebuild each unknown's belief from its prior and the
@@ -869,8 +634,7 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
           config_.schedule == UpdateSchedule::gauss_seidel;
       // Gauss-Seidel commit: later nodes in the sweep already see this
       // node's updated belief and summary (a centralized sweep has no extra
-      // broadcast; traffic is not re-metered). The version bump keeps
-      // downstream message caches honest. Serial schedule only.
+      // broadcast; traffic is not re-metered). Serial schedule only.
       const auto commit_gs = [&](std::size_t i, std::span<const double> next) {
         beliefops::copy_in(next, belief[i], side, roi[i]);
         beliefops::sparsify_in(belief[i], side, roi[i], config_.support_mass,
@@ -878,7 +642,6 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
                                order_scratch);
         if (sp_scratch.covered_fraction >= config_.informative_coverage) {
           cur_pub[i] = std::move(sp_scratch);
-          cur_ver[i] = ++pub_seq;
           ever_published[i] = 1;
         }
       };
@@ -893,30 +656,28 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
             static_cast<std::uint64_t>(box.cell_count());
         const std::size_t ttl = config_.robustness.stale_ttl;
 
-        // Is the slot's summary usable this round, and under which version?
-        // The one predicate both transports share: the async channel serves
-        // its inbox (whatever was last *accepted*, however stale, until the
-        // TTL retires it); the sync radio serves the sender's current or
+        // The slot's summary if it is usable this round, else nullptr. The
+        // one predicate both transports share: the async channel serves its
+        // inbox (whatever was last *accepted*, however stale, until the TTL
+        // retires it); the sync radio serves the sender's current or
         // previous summary depending on this round's delivery. Pure reads —
         // callable any number of times per round.
-        const auto slot_input = [&](std::size_t k, std::size_t slot)
-            -> std::pair<const SparseBelief*, std::uint64_t> {
+        const auto slot_input = [&](std::size_t k,
+                                    std::size_t slot) -> const SparseBelief* {
           if (async) {
-            const std::uint64_t ver = channel->version(slot);
-            if (ver == 0) return {nullptr, 0};
+            if (channel->version(slot) == 0) return nullptr;
             if (ttl > 0 && iter + 1 - channel->heard_round(slot) > ttl)
-              return {nullptr, kSigTtlSkip};
-            return {&channel->payload(slot), ver};
+              return nullptr;
+            return &channel->payload(slot);
           }
           const std::size_t j = nbs[k].node;
           const bool fresh = sync_radio->delivered(j, i);
           if (ttl > 0) {
             const std::size_t heard = fresh ? iter + 1 : last_heard[slot];
-            if (iter + 1 - heard > ttl) return {nullptr, kSigTtlSkip};
+            if (iter + 1 - heard > ttl) return nullptr;
           }
           const SparseBelief* src = fresh ? &cur_pub[j] : &prev_pub[j];
-          return {src->empty() ? nullptr : src,
-                  fresh ? cur_ver[j] : prev_ver[j]};
+          return src->empty() ? nullptr : src;
         };
 
         // Partial-neighborhood quorum: when most of the neighborhood is
@@ -928,14 +689,11 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
         // where quorum is structurally unreachable (diffuse priors: nobody
         // has published yet, so nobody can ever reach quorum): after
         // `quorum_patience` consecutive holds the gate disarms and the
-        // node free-runs until a full quorum is next observed. The held
-        // node's cached product is invalidated: inputs may have changed
-        // while it was not looking.
+        // node free-runs until a full quorum is next observed.
         if (quorum > 0.0 && !nbs.empty()) {
           std::size_t usable = 0;
           for (std::size_t k = 0; k < nbs.size(); ++k)
-            if (slot_input(k, kernel_offset[i] + k).first != nullptr)
-              ++usable;
+            if (slot_input(k, kernel_offset[i] + k) != nullptr) ++usable;
           const bool met = static_cast<double>(usable) >=
                            quorum * static_cast<double>(nbs.size());
           if (met) {
@@ -945,7 +703,6 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
                      quorum_streak[i] < config_.robustness.quorum_patience) {
             ++quorum_streak[i];
             node_quorum_held[i] = 1;
-            if (reuse_products) have_product[i] = 0;
             // A held node still *listened*: the sync TTL bookkeeping must
             // record this round's deliveries or held rounds would count as
             // silence and retire perfectly live neighbors.
@@ -960,163 +717,30 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
           }
         }
 
-        // Pre-pass: fold this round's inputs into the per-slot signatures
-        // (doing the sync TTL bookkeeping; the main loop's repeat of it is
-        // idempotent). If every signature is unchanged, the cached product
-        // is exact and the message loop is skipped entirely.
-        bool static_inputs = false;
-        if (reuse_products) {
-          static_inputs = have_product[i] != 0;
-          for (std::size_t k = 0; k < nbs.size(); ++k) {
-            const std::size_t j = nbs[k].node;
-            const std::size_t slot = kernel_offset[i] + k;
-            std::uint64_t sig;
-            if (async) {
-              sig = slot_input(k, slot).second;
-            } else {
-              const bool fresh = sync_radio->delivered(j, i);
-              sig = fresh ? cur_ver[j] : prev_ver[j];
-              if (ttl > 0) {
-                std::size_t& heard = last_heard[slot];
-                if (fresh) heard = iter + 1;
-                else if (iter + 1 - heard > ttl)
-                  sig = kSigTtlSkip;
-              }
-            }
-            // A deferred slot holds its old signature — the cached message
-            // keeps contributing and the slot stays a scheduling candidate
-            // until the budget (or the starvation floor) lets the new
-            // version in. The sync TTL bookkeeping above already ran:
-            // quiet-by-deferral still counts as heard.
-            if (sched_active && sched->deferred(slot)) continue;
-            if (in_sig[slot] != sig) {
-              in_sig[slot] = sig;
-              static_inputs = false;
-              // Folding a real version here is the moment of integration
-              // the pending-residual accounting keys on.
-              if (sched_enabled && sig != 0 && sig < kSigTtlSkip - 1)
-                seen_accum[slot] = ver_accum[sig];
-            }
-          }
-          if (config_.use_negative_evidence) {
-            const auto& nls = nonlinks[i];
-            for (std::size_t k = 0; k < nls.size(); ++k) {
-              const std::size_t far = nls[k];
-              const std::size_t slot = n_links + nl_offset[i] + k;
-              // The coverage gate depends only on the summary, so the
-              // version alone identifies the contribution; a crash only
-              // matters when the TTL retires frozen summaries.
-              std::uint64_t sig = cur_ver[far];
-              if (ttl > 0 && radio_crashed(far)) sig = kSigTtlSkip;
-              if (sched_active && sched->deferred(slot)) continue;
-              if (in_sig[slot] != sig) {
-                in_sig[slot] = sig;
-                static_inputs = false;
-                if (sched_enabled && sig != 0 && sig < kSigTtlSkip - 1)
-                  seen_accum[slot] = ver_accum[sig];
-              }
-            }
-          }
-        }
-        if (static_inputs) {
-          ++node_prods_reused[i];
-          node_cell_visits[i] += 3 * box_cells;  // replay + mix + residual
-          beliefops::copy_in((*product)[i], next, side, box);
-          beliefops::mix_in(next, belief[i], config_.damping, side, box);
-          node_change[i] =
-              beliefops::total_variation_in(next, belief[i], side, box);
-          if (gauss_seidel) commit_gs(i, next);
-          return;
-        }
-
         beliefops::copy_in(prior_grid[i], next, side, box);
         node_cell_visits[i] += box_cells;  // prior copy
         for (std::size_t k = 0; k < nbs.size(); ++k) {
           const std::size_t slot = kernel_offset[i] + k;
-          // Sync TTL bookkeeping (idempotent with the prepass): a slot
-          // undelivered for longer than the TTL retires — the neighbor is
-          // presumed dead and its stale summary decays out of the product.
+          // Sync TTL bookkeeping: a slot undelivered for longer than the TTL
+          // retires — the neighbor is presumed dead and its stale summary
+          // decays out of the product.
           if (!async && ttl > 0 && sync_radio->delivered(nbs[k].node, i))
             last_heard[slot] = iter + 1;
-          // Deferred link: replay the message of the last-integrated
-          // version (bit-identical to the round it was computed in) and
-          // skip the kernel correlation the new summary would cost. The
-          // cached buffer is that message exactly when its version matches
-          // the held signature; otherwise the last integration contributed
-          // nothing (never heard, or retired) and neither does the replay.
-          if (sched_active && sched->deferred(slot)) {
-            if (msg_ver[slot] != 0 && msg_ver[slot] == in_sig[slot] &&
-                !msg_skip[slot]) {
-              ++node_msgs_reused[i];
-              node_cell_visits[i] += box_cells;
-              beliefops::multiply_in(next, (*msg_store)[slot],
-                                     config_.message_floor, side, box);
-            }
-            continue;
-          }
-          const auto [src_ptr, ver] = slot_input(k, slot);
-          if (src_ptr == nullptr) continue;
-          const SparseBelief& src = *src_ptr;
-          if (src.empty()) continue;
-          if (reuse) {
-            const std::span<double> cached = (*msg_store)[slot];
-            if (msg_ver[slot] == ver) {
-              ++node_msgs_reused[i];
-              if (!msg_skip[slot]) {
-                node_cell_visits[i] += box_cells;
-                beliefops::multiply_in(next, cached, config_.message_floor,
-                                       side, box);
-              }
-              continue;
-            }
-            const double peak =
-                link_kernel[slot]->correlate(src, cached, side, &box);
-            msg_ver[slot] = ver;
-            ++node_msgs_computed[i];
-            node_kernel_cells[i] +=
-                static_cast<std::uint64_t>(src.cells.size()) *
-                link_kernel[slot]->stamp_count();
-            if (peak <= 0.0) {
-              msg_skip[slot] = 1;
-              continue;
-            }
-            msg_skip[slot] = 0;
-            node_cell_visits[i] += box_cells;
-            beliefops::multiply_in(next, cached, config_.message_floor, side,
-                                   box);
-          } else {
-            const double peak =
-                link_kernel[slot]->correlate(src, scratch, side, &box);
-            ++node_msgs_computed[i];
-            node_kernel_cells[i] +=
-                static_cast<std::uint64_t>(src.cells.size()) *
-                link_kernel[slot]->stamp_count();
-            if (peak <= 0.0) continue;
-            node_cell_visits[i] += box_cells;
-            beliefops::multiply_in(next, scratch, config_.message_floor, side,
-                                   box);
-          }
+          const SparseBelief* src = slot_input(k, slot);
+          if (src == nullptr || src->empty()) continue;
+          const double peak =
+              link_kernel[slot]->correlate(*src, scratch, side, &box);
+          ++node_msgs_computed[i];
+          node_kernel_cells[i] +=
+              static_cast<std::uint64_t>(src->cells.size()) *
+              link_kernel[slot]->stamp_count();
+          if (peak <= 0.0) continue;
+          node_cell_visits[i] += box_cells;
+          beliefops::multiply_in(next, scratch, config_.message_floor, side,
+                                 box);
         }
         if (config_.use_negative_evidence) {
-          const auto& nls = nonlinks[i];
-          for (std::size_t k = 0; k < nls.size(); ++k) {
-            const std::size_t far = nls[k];
-            // Deferred non-link: same replay contract as a deferred link.
-            // (Non-link slots have no msg_skip — a version that failed the
-            // coverage gate never updated msg_ver, so the match below
-            // already implies the cached buffer is a real contribution.)
-            if (sched_active) {
-              const std::size_t dslot = n_links + nl_offset[i] + k;
-              if (sched->deferred(dslot)) {
-                if (msg_ver[dslot] != 0 && msg_ver[dslot] == in_sig[dslot]) {
-                  ++node_msgs_reused[i];
-                  node_cell_visits[i] += box_cells;
-                  beliefops::multiply_in(next, (*msg_store)[dslot],
-                                         config_.message_floor, side, box);
-                }
-                continue;
-              }
-            }
+          for (const std::size_t far : nonlinks[i]) {
             // With a TTL active, a dead node's frozen summary stops being
             // usable as non-link evidence as well. (Both transports read
             // cur_pub[far] here — two-hop summaries are not on the radio at
@@ -1125,46 +749,17 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
             const SparseBelief& src = cur_pub[far];
             // Negative evidence only pays off against a concentrated belief.
             if (src.empty() || src.covered_fraction < 0.9) continue;
-            if (reuse) {
-              const std::size_t slot = n_links + nl_offset[i] + k;
-              const std::span<double> cached = (*msg_store)[slot];
-              if (msg_ver[slot] == cur_ver[far]) {
-                ++node_msgs_reused[i];
-                node_cell_visits[i] += box_cells;
-                beliefops::multiply_in(next, cached, config_.message_floor,
-                                       side, box);
-                continue;
-              }
-              zero_in(cached, box);
-              conn_kernel.accumulate(src, cached, side, &box);
-              neg_transform(cached, box);
-              msg_ver[slot] = cur_ver[far];
-              ++node_msgs_computed[i];
-              node_kernel_cells[i] +=
-                  static_cast<std::uint64_t>(src.cells.size()) *
-                  conn_kernel.stamp_count();
-              node_cell_visits[i] += box_cells;
-              beliefops::multiply_in(next, cached, config_.message_floor,
-                                     side, box);
-            } else {
-              zero_in(scratch, box);
-              conn_kernel.accumulate(src, scratch, side, &box);
-              neg_transform(scratch, box);
-              ++node_msgs_computed[i];
-              node_kernel_cells[i] +=
-                  static_cast<std::uint64_t>(src.cells.size()) *
-                  conn_kernel.stamp_count();
-              node_cell_visits[i] += box_cells;
-              beliefops::multiply_in(next, scratch, config_.message_floor,
-                                     side, box);
-            }
+            zero_in(scratch, box);
+            conn_kernel.accumulate(src, scratch, side, &box);
+            neg_transform(scratch, box);
+            ++node_msgs_computed[i];
+            node_kernel_cells[i] +=
+                static_cast<std::uint64_t>(src.cells.size()) *
+                conn_kernel.stamp_count();
+            node_cell_visits[i] += box_cells;
+            beliefops::multiply_in(next, scratch, config_.message_floor, side,
+                                   box);
           }
-        }
-        if (reuse_products) {
-          // pre-damping: replayable as-is
-          beliefops::copy_in(next, (*product)[i], side, box);
-          have_product[i] = 1;
-          node_cell_visits[i] += box_cells;
         }
         beliefops::mix_in(next, belief[i], config_.damping, side, box);
         node_change[i] =
@@ -1175,8 +770,6 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
 
       std::fill(node_change.begin(), node_change.end(), -1.0);
       std::fill(node_msgs_computed.begin(), node_msgs_computed.end(), 0U);
-      std::fill(node_msgs_reused.begin(), node_msgs_reused.end(), 0U);
-      std::fill(node_prods_reused.begin(), node_prods_reused.end(), 0U);
       std::fill(node_cell_visits.begin(), node_cell_visits.end(),
                 std::uint64_t{0});
       std::fill(node_kernel_cells.begin(), node_kernel_cells.end(),
@@ -1199,7 +792,7 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
 
       double sum_change = 0.0;
       std::size_t changed_nodes = 0;
-      std::uint64_t msgs_computed = 0, msgs_reused = 0, prods_reused = 0;
+      std::uint64_t msgs_computed = 0;
       std::uint64_t cell_visits = 0, kernel_cells = 0;
       std::size_t quorum_held = 0;
       for (std::size_t i = 0; i < n; ++i) {
@@ -1208,15 +801,11 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
           ++changed_nodes;
         }
         msgs_computed += node_msgs_computed[i];
-        msgs_reused += node_msgs_reused[i];
-        prods_reused += node_prods_reused[i];
         cell_visits += node_cell_visits[i];
         kernel_cells += node_kernel_cells[i];
         quorum_held += node_quorum_held[i];
       }
       obs::count("grid.messages.computed", msgs_computed);
-      obs::count("grid.messages.reused", msgs_reused);
-      obs::count("grid.products.reused", prods_reused);
       obs::count("grid.cell_visits", cell_visits);
       obs::count("grid.kernel_cells", kernel_cells);
       obs::count(lvl_visits_name, cell_visits);
@@ -1272,14 +861,7 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
       // Converged at this resolution: the finest level ends the run; a
       // coarse level just hands over to the next rung early. A round with
       // quorum holds never counts: held nodes report no change precisely
-      // because the network is too degraded to update them. Deferred
-      // links do NOT block convergence: near the tolerance the damping
-      // tail keeps beliefs republishing hairline deltas for many rounds,
-      // and round_robin itself terminates with that round's publishes
-      // unintegrated — the residual policy's terminal backlog is the
-      // bottom-residual slice of the same trickle (everything above the
-      // budget cut was integrated, and the starvation floor bounded every
-      // link's lag during the run).
+      // because the network is too degraded to update them.
       if (mean_change < config_.iteration.convergence_tol &&
           level_round >= 2 && quorum_held == 0) {
         if (finest) result.converged = true;

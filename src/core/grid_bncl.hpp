@@ -26,6 +26,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <string>
 
 #include "core/engine_config.hpp"
 #include "core/localizer.hpp"
@@ -116,46 +117,17 @@ struct GridBnclConfig {
   /// `transport.radio.loss` (per *attempt*, not per round).
   TransportConfig transport;
 
-  /// Message scheduling policy (ROADMAP item 1); see core/engine_config.hpp
-  /// and inference/scheduler.hpp. `round_robin` (default) processes every
-  /// changed link every round — bit-identical to every prior run. With
-  /// `residual` the engine adds a serial scan phase between publish and
-  /// update that ranks the round's changed links by pending residual —
-  /// receiver-coherently: each link carries its receiver's total
-  /// unintegrated publish residual, so budget cuts land on receiver
-  /// boundaries and whole receivers collapse to the product fast path —
-  /// and defers everything below `sched.link_budget_frac`; deferred links
-  /// replay their
-  /// cached message until the budget — or the `sched.starvation_rounds`
-  /// floor — lets the new summary in. Requires Jacobi + `reuse_messages`;
-  /// rides both transports; deterministic at any thread count (the scan is
-  /// serial, the update phase only reads the decision bitmap). Named config
-  /// `sched` because `schedule` above already names the sweep order.
-  ScheduleConfig sched;
-
-  // --- Fast-path controls (PR4). All bit-identity-preserving: they change
-  // --- wall-clock and memory only, never a single output bit. ------------
-  /// Memoize annulus kernels on the exact measured distance and share them
-  /// across links, nodes, and iterations (inference/kernel_cache.hpp). The
-  /// symmetric link measurements alone halve kernel construction.
-  bool cache_kernels = true;
-  /// Scope of that memoization. `run` (default) builds a fresh cache per
-  /// localize() call; `process` consults the process-global
-  /// KernelCacheRegistry so concurrent and successive runs share kernels
-  /// (per-lookup outcomes surface as the `grid.kernels.process.hit/miss`
-  /// obs counters). The registry grows until trimmed — standalone callers
+  /// Where the memoized annulus kernels live. Kernels are pure functions
+  /// of the exact measured distance (inference/kernel_cache.hpp), so every
+  /// run shares one kernel across symmetric links, coincident measurements,
+  /// nodes and rounds; the scope decides who else shares it. `run`
+  /// (default) builds a fresh cache per localize() call; `process`
+  /// consults the process-global KernelCacheRegistry so concurrent and
+  /// successive runs share kernels (per-lookup outcomes surface as the
+  /// `grid.kernels.process.hit/miss` obs counters). The registry grows until trimmed — standalone callers
   /// should prefer `run` for unbounded Monte-Carlo sweeps; the serve layer
   /// enables `process` and trims between batches (docs/SERVICE.md).
   KernelScope kernel_scope = KernelScope::run;
-  /// Reuse a link's incoming message verbatim while the sender's published
-  /// summary is unchanged (rebroadcast suppression already tracks this) —
-  /// the message is a pure function of (kernel, summary), so recomputing it
-  /// every round is wasted work. Costs one dense grid per directed link.
-  bool reuse_messages = true;
-  /// Upper bound on the message-reuse buffers; when a scenario's
-  /// links × cells footprint exceeds it, reuse silently degrades to
-  /// recompute (correct, just slower) instead of ballooning memory.
-  std::size_t message_cache_mb = 256;
 
   /// Worker threads for the node-parallel phases within a round (the
   /// per-node parallelism pilot, F14 part B; extended in PR5). Three phases
@@ -164,7 +136,7 @@ struct GridBnclConfig {
   /// publish phase's decide/sparsify pass, and the staged→current belief
   /// commit. All are independent across nodes — each reads the round-start
   /// summaries and writes only its own slots — and the order-sensitive
-  /// effects (publish version numbers, metered radio traffic) are committed
+  /// effects (publish sequence numbers, metered radio traffic) are committed
   /// by a serial second pass in node order, so any thread count yields
   /// bit-identical results. The Gauss-Seidel update schedule is
   /// order-dependent by definition and always runs its sweep serially.
@@ -181,7 +153,13 @@ struct GridBnclConfig {
 
 class GridBncl final : public Localizer {
  public:
+  /// Asserts config_error(config) is empty.
   explicit GridBncl(GridBnclConfig config = {});
+
+  /// Why `config` cannot run (the constructor's preconditions), or empty
+  /// when it can. The serve layer rejects requests with this reason
+  /// instead of letting the constructor abort.
+  [[nodiscard]] static std::string config_error(const GridBnclConfig& config);
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] LocalizationResult localize(const Scenario& scenario,

@@ -25,12 +25,17 @@ struct ParticleSummary {
 
 }  // namespace
 
+std::string ParticleBncl::config_error(const ParticleBnclConfig& config) {
+  if (config.particle_count < 8) return "particle_count must be >= 8";
+  if (config.message_subsample < 1) return "message_subsample must be >= 1";
+  if (!(config.prior_refresh_fraction + config.ring_refresh_fraction < 1.0))
+    return "refresh fractions must leave room for surviving particles";
+  return {};
+}
+
 ParticleBncl::ParticleBncl(ParticleBnclConfig config) : config_(config) {
-  BNLOC_ASSERT(config_.particle_count >= 8, "too few particles");
-  BNLOC_ASSERT(config_.message_subsample >= 1, "message subsample empty");
-  BNLOC_ASSERT(
-      config_.prior_refresh_fraction + config_.ring_refresh_fraction < 1.0,
-      "refresh fractions must leave room for surviving particles");
+  const std::string error = config_error(config_);
+  BNLOC_ASSERT(error.empty(), error.c_str());
 }
 
 LocalizationResult ParticleBncl::localize(const Scenario& scenario,

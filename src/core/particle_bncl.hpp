@@ -49,7 +49,12 @@ struct ParticleBnclConfig {
 
 class ParticleBncl final : public Localizer {
  public:
+  /// Asserts config_error(config) is empty.
   explicit ParticleBncl(ParticleBnclConfig config = {});
+
+  /// Why `config` cannot run (the constructor's preconditions), or empty
+  /// when it can.
+  [[nodiscard]] static std::string config_error(const ParticleBnclConfig& config);
 
   [[nodiscard]] std::string name() const override {
     std::string name = config_.robustness.robust_likelihood

@@ -32,11 +32,19 @@ std::string validate(const ServeRequest& request) {
   if (s.radio.range <= 0.0) return "scenario.radio_range must be > 0";
   if (s.radio.ranging.noise_factor < 0.0)
     return "scenario.noise must be >= 0";
-  if (request.engine == EngineKind::grid && request.grid.grid_side < 4)
-    return "engine.grid_side must be >= 4";
-  if (request.engine == EngineKind::particle &&
-      request.particle.particle_count < 2)
-    return "engine.particle_count must be >= 2";
+  std::string engine_error;
+  switch (request.engine) {
+    case EngineKind::grid:
+      engine_error = GridBncl::config_error(request.grid);
+      break;
+    case EngineKind::particle:
+      engine_error = ParticleBncl::config_error(request.particle);
+      break;
+    case EngineKind::gauss:
+      engine_error = GaussianBncl::config_error(request.gauss);
+      break;
+  }
+  if (!engine_error.empty()) return "engine_config: " + engine_error;
   return {};
 }
 

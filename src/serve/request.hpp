@@ -68,7 +68,8 @@ struct ServeResponse {
   double seconds = 0.0;
 };
 
-/// Validate the parts of a request the engines would otherwise choke on.
+/// Validate the parts of a request the engines would otherwise choke on:
+/// the scenario ranges, then the selected engine's own config_error().
 /// Returns an empty string when valid, else the reason.
 [[nodiscard]] std::string validate(const ServeRequest& request);
 

@@ -1,7 +1,10 @@
 // The unified engine-config API (core/engine_config.hpp): every shared knob
-// round-trips through each engine's config() accessor, and the engine names
-// the experiment tables key on are pinned.
+// round-trips through each engine's config() accessor, each engine's
+// config_error() names every broken precondition, and the engine names the
+// experiment tables key on are pinned.
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 #include "core/gaussian_bncl.hpp"
 #include "core/grid_bncl.hpp"
@@ -74,13 +77,96 @@ TEST(EngineConfig, GaussianRoundTripsSharedKnobs) {
 
 TEST(EngineConfig, GridFastPathKnobsRoundTrip) {
   GridBnclConfig cfg;
-  cfg.cache_kernels = false;
-  cfg.reuse_messages = false;
-  cfg.message_cache_mb = 12;
+  cfg.kernel_scope = KernelScope::process;
   const GridBncl engine(cfg);
-  EXPECT_FALSE(engine.config().cache_kernels);
-  EXPECT_FALSE(engine.config().reuse_messages);
-  EXPECT_EQ(engine.config().message_cache_mb, 12u);
+  EXPECT_EQ(engine.config().kernel_scope, KernelScope::process);
+  EXPECT_EQ(GridBncl(GridBnclConfig{}).config().kernel_scope,
+            KernelScope::run);
+}
+
+// --- Preconditions ------------------------------------------------------------
+// config_error() is the one list of each engine's preconditions: the
+// constructor asserts it is empty and serve::validate() reports it, so a
+// message here is exactly what a rejected serve request carries.
+
+TEST(EngineConfig, DefaultConfigsSatisfyEveryPrecondition) {
+  EXPECT_EQ(GridBncl::config_error(GridBnclConfig{}), "");
+  EXPECT_EQ(ParticleBncl::config_error(ParticleBnclConfig{}), "");
+  EXPECT_EQ(GaussianBncl::config_error(GaussianBnclConfig{}), "");
+}
+
+TEST(EngineConfig, GridConfigErrorNamesTheBrokenField) {
+  const auto error = [](auto&& mutate) {
+    GridBnclConfig cfg;
+    mutate(cfg);
+    return GridBncl::config_error(cfg);
+  };
+  EXPECT_EQ(error([](GridBnclConfig& c) { c.damping = 1.0; }),
+            "damping must be in [0, 1)");
+  EXPECT_EQ(error([](GridBnclConfig& c) { c.damping = -0.1; }),
+            "damping must be in [0, 1)");
+  EXPECT_EQ(error([](GridBnclConfig& c) { c.damping = std::nan(""); }),
+            "damping must be in [0, 1)");
+  EXPECT_EQ(error([](GridBnclConfig& c) { c.grid_side = 7; }),
+            "grid_side must be >= 8");
+  EXPECT_EQ(error([](GridBnclConfig& c) { c.pyramid_levels = 0; }),
+            "pyramid_levels must be >= 1");
+  EXPECT_EQ(error([](GridBnclConfig& c) { c.pyramid_roi_margin = -1; }),
+            "pyramid_roi_margin must be >= 0");
+  EXPECT_EQ(error([](GridBnclConfig& c) {
+              c.transport.async = true;
+              c.schedule = UpdateSchedule::gauss_seidel;
+            }),
+            "async transport requires the Jacobi schedule");
+  EXPECT_EQ(
+      error([](GridBnclConfig& c) { c.robustness.update_quorum = 1.5; }),
+      "update_quorum must be in [0, 1]");
+  EXPECT_EQ(error([](GridBnclConfig& c) {
+              c.robustness.update_quorum = std::nan("");
+            }),
+            "update_quorum must be in [0, 1]");
+
+  // Every boundary value is itself legal.
+  EXPECT_EQ(error([](GridBnclConfig& c) {
+              c.damping = 0.0;
+              c.grid_side = 8;
+              c.pyramid_levels = 1;
+              c.pyramid_roi_margin = 0;
+              c.robustness.update_quorum = 1.0;
+            }),
+            "");
+}
+
+TEST(EngineConfig, ParticleConfigErrorNamesTheBrokenField) {
+  const auto error = [](auto&& mutate) {
+    ParticleBnclConfig cfg;
+    mutate(cfg);
+    return ParticleBncl::config_error(cfg);
+  };
+  EXPECT_EQ(error([](ParticleBnclConfig& c) { c.particle_count = 7; }),
+            "particle_count must be >= 8");
+  EXPECT_EQ(error([](ParticleBnclConfig& c) { c.message_subsample = 0; }),
+            "message_subsample must be >= 1");
+  EXPECT_EQ(error([](ParticleBnclConfig& c) {
+              c.prior_refresh_fraction = 0.5;
+              c.ring_refresh_fraction = 0.5;
+            }),
+            "refresh fractions must leave room for surviving particles");
+  EXPECT_EQ(error([](ParticleBnclConfig& c) {
+              c.particle_count = 8;
+              c.message_subsample = 1;
+            }),
+            "");
+}
+
+TEST(EngineConfig, GaussianConfigErrorNamesTheBrokenField) {
+  GaussianBnclConfig cfg;
+  cfg.damping = 1.0;
+  EXPECT_EQ(GaussianBncl::config_error(cfg), "damping must be in [0, 1)");
+  cfg.damping = -0.5;
+  EXPECT_EQ(GaussianBncl::config_error(cfg), "damping must be in [0, 1)");
+  cfg.damping = 0.0;
+  EXPECT_EQ(GaussianBncl::config_error(cfg), "");
 }
 
 // The names below key experiment tables, BENCH_*.json lines, and trace
@@ -97,6 +183,8 @@ TEST(EngineConfig, EngineNamesArePinned) {
   EXPECT_EQ(GridBncl(g).name(), "bncl-grid-noneg-robust");
   g.use_negative_evidence = true;
   EXPECT_EQ(GridBncl(g).name(), "bncl-grid-robust");
+  g.transport.async = true;
+  EXPECT_EQ(GridBncl(g).name(), "bncl-grid-robust-async");
 
   ParticleBnclConfig p;
   p.robustness.robust_likelihood = true;
@@ -105,12 +193,6 @@ TEST(EngineConfig, EngineNamesArePinned) {
   GaussianBnclConfig ga;
   ga.robustness.robust_likelihood = true;
   EXPECT_EQ(GaussianBncl(ga).name(), "bncl-gauss-robust");
-
-  GridBnclConfig gs;
-  gs.sched.policy = SchedulePolicy::residual;
-  EXPECT_EQ(GridBncl(gs).name(), "bncl-grid-sched");
-  gs.transport.async = true;
-  EXPECT_EQ(GridBncl(gs).name(), "bncl-grid-async-sched");
 }
 
 TEST(EngineConfig, SharedDefaultsAreNeutral) {

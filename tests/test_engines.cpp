@@ -4,11 +4,14 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 
 #include "core/gaussian_bncl.hpp"
 #include "core/grid_bncl.hpp"
 #include "core/particle_bncl.hpp"
 #include "eval/metrics.hpp"
+#include "obs/telemetry.hpp"
+#include "support/simd.hpp"
 
 namespace bnloc {
 namespace {
@@ -330,74 +333,145 @@ TEST(GaussianBncl, ConvergesWithPriors) {
   EXPECT_TRUE(r.converged);
 }
 
-// The fast path (kernel cache + message reuse) must be invisible in the
-// output: every estimate bit-identical with the knobs on and off, across
-// schedules, packet loss, node-parallel updates, and a tiny cache budget
-// that forces the degrade-to-recompute path.
-TEST(GridBncl, FastPathIsBitIdentical) {
-  const auto run = [](const Scenario& s, GridBnclConfig cfg, bool fast) {
-    cfg.cache_kernels = fast;
-    cfg.reuse_messages = fast;
-    Rng rng(9);
-    return GridBncl(cfg).localize(s, rng);
-  };
-  const auto expect_same = [](const LocalizationResult& a,
-                              const LocalizationResult& b) {
-    ASSERT_EQ(a.estimates.size(), b.estimates.size());
-    for (std::size_t i = 0; i < a.estimates.size(); ++i) {
-      ASSERT_EQ(a.estimates[i].has_value(), b.estimates[i].has_value());
-      if (a.estimates[i]) {
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.estimates[i]->x),
-                  std::bit_cast<std::uint64_t>(b.estimates[i]->x));
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.estimates[i]->y),
-                  std::bit_cast<std::uint64_t>(b.estimates[i]->y));
-      }
+// FNV-1a over everything a caller reads from a grid run: every estimate's
+// bits, the convergence trace, the round count and the broadcast count.
+std::uint64_t result_digest(const LocalizationResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto fold = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffU;
+      h *= 0x100000001b3ULL;
     }
-    EXPECT_EQ(a.change_per_iteration, b.change_per_iteration);
-    EXPECT_EQ(a.iterations, b.iterations);
-    EXPECT_EQ(a.comm.messages_sent, b.comm.messages_sent);
   };
+  for (const auto& e : r.estimates) {
+    fold(e.has_value());
+    if (e) {
+      fold(std::bit_cast<std::uint64_t>(e->x));
+      fold(std::bit_cast<std::uint64_t>(e->y));
+    }
+  }
+  for (const double c : r.change_per_iteration)
+    fold(std::bit_cast<std::uint64_t>(c));
+  fold(r.iterations);
+  fold(r.comm.messages_sent);
+  return h;
+}
 
+// The engine's answers are pinned bit for bit to golden digests captured
+// from the engine before its message and product stores were removed:
+// recomputing every message each round must reproduce exactly what the
+// stores replayed. The SIMD reductions round differently per lane width,
+// so each dispatch mode has its own digests, and a build that lets the
+// compiler fuse multiply-adds (an FMA -march, or a non-x86 target) rounds
+// differently again and has none.
+TEST(GridBncl, OutputsMatchGoldenDigests) {
+#if !defined(__x86_64__) || defined(__FMA__)
+  GTEST_SKIP() << "golden digests are recorded for baseline x86-64 builds";
+#else
+  struct Golden {
+    simd::Mode mode;
+    std::uint64_t plain, loss, gauss_seidel, robust, async;
+  };
+  const Golden goldens[] = {
+      {simd::Mode::scalar, 0xcea737dc1703bfa3ULL, 0xd8d13af9e032a225ULL,
+       0x70a1ffc6d290eb53ULL, 0x3e4b972a50dcad4fULL, 0x0b4f11eedc6daf98ULL},
+      {simd::Mode::sse2, 0x1ceb4387db67cca1ULL, 0xccbdb04d3f01d918ULL,
+       0x47845ee8b1a8dc98ULL, 0x2b6b499a82df92e1ULL, 0x85856a195e306ebcULL},
+      {simd::Mode::avx2, 0x5ba9172da480fef2ULL, 0x7bb5e77ebacba961ULL,
+       0xff8d529c5c047609ULL, 0x2d7d44668d7b6738ULL, 0x63551ed95b9d9048ULL},
+  };
+  const auto digest = [](const Scenario& s, const GridBnclConfig& cfg) {
+    Rng rng(9);
+    return result_digest(GridBncl(cfg).localize(s, rng));
+  };
   const Scenario s = build_scenario(default_config(40));
-  {
-    SCOPED_TRACE("default");
-    expect_same(run(s, {}, true), run(s, {}, false));
+  ScenarioConfig fcfg = default_config(41);
+  fcfg.faults.crash_fraction = 0.1;
+  fcfg.faults.outlier_fraction = 0.15;
+  const Scenario sf = build_scenario(fcfg);
+
+  GridBnclConfig loss;
+  loss.iteration.packet_loss = 0.2;
+  GridBnclConfig gauss_seidel;
+  gauss_seidel.schedule = UpdateSchedule::gauss_seidel;
+  GridBnclConfig parallel;
+  parallel.threads = 4;
+  GridBnclConfig robust;
+  robust.robustness.robust_likelihood = true;
+  robust.robustness.stale_ttl = 3;
+  GridBnclConfig async;
+  async.transport.async = true;
+  async.transport.radio.loss = 0.1;
+  async.robustness.stale_ttl = 4;
+  async.robustness.update_quorum = 0.5;
+
+  const simd::Mode session_mode = simd::active_mode();
+  std::size_t modes_checked = 0;
+  for (const Golden& g : goldens) {
+    simd::set_mode(g.mode);
+    if (simd::active_mode() != g.mode) continue;  // CPU lacks this mode
+    SCOPED_TRACE(simd::active_name());
+    ++modes_checked;
+    EXPECT_EQ(digest(s, {}), g.plain) << "default";
+    EXPECT_EQ(digest(s, loss), g.loss) << "packet loss";
+    EXPECT_EQ(digest(s, gauss_seidel), g.gauss_seidel) << "gauss-seidel";
+    EXPECT_EQ(digest(s, parallel), g.plain) << "node-parallel";
+    EXPECT_EQ(digest(sf, robust), g.robust) << "robustness stack";
+    EXPECT_EQ(digest(sf, async), g.async) << "async transport";
   }
-  {
-    SCOPED_TRACE("packet loss");
-    GridBnclConfig cfg;
-    cfg.iteration.packet_loss = 0.2;
-    expect_same(run(s, cfg, true), run(s, cfg, false));
+  simd::set_mode(session_mode);
+  EXPECT_GE(modes_checked, 1u);
+#endif
+}
+
+// The sync radio's TTL bookkeeping (last_heard) and the quorum hold interact:
+// a held node still listens, so its held rounds must refresh last_heard or
+// live neighbors would age out of the product. With packet loss, a short TTL
+// and a quorum gate that actually holds nodes, the answers at any thread
+// count are pinned to digests captured from the engine that kept this
+// bookkeeping in a separate pre-pass.
+TEST(GridBncl, SyncQuorumHoldsMatchGoldenDigests) {
+#if !defined(__x86_64__) || defined(__FMA__)
+  GTEST_SKIP() << "golden digests are recorded for baseline x86-64 builds";
+#else
+  const std::pair<simd::Mode, std::uint64_t> goldens[] = {
+      {simd::Mode::scalar, 0x3c3a76dcaf934060ULL},
+      {simd::Mode::sse2, 0x57de32b62ec27dbcULL},
+      {simd::Mode::avx2, 0xb22f16f1e0c5f374ULL},
+  };
+  ScenarioConfig fcfg = default_config(41);
+  fcfg.faults.crash_fraction = 0.1;
+  fcfg.faults.outlier_fraction = 0.15;
+  const Scenario sf = build_scenario(fcfg);
+  GridBnclConfig cfg;
+  cfg.iteration.packet_loss = 0.3;
+  cfg.robustness.stale_ttl = 2;
+  cfg.robustness.update_quorum = 0.6;
+
+  const simd::Mode session_mode = simd::active_mode();
+  std::size_t modes_checked = 0;
+  for (const auto& [mode, golden] : goldens) {
+    simd::set_mode(mode);
+    if (simd::active_mode() != mode) continue;  // CPU lacks this mode
+    SCOPED_TRACE(simd::active_name());
+    ++modes_checked;
+    for (const std::size_t threads : {1u, 4u}) {
+      cfg.threads = threads;
+      obs::Telemetry sink;
+      LocalizationResult r;
+      {
+        const obs::TelemetryScope scope(&sink);
+        Rng rng(9);
+        r = GridBncl(cfg).localize(sf, rng);
+      }
+      // The gate must actually hold someone, or the test is vacuous.
+      EXPECT_GT(sink.registry.counter("grid.quorum_holds"), 0u);
+      EXPECT_EQ(result_digest(r), golden) << "threads=" << threads;
+    }
   }
-  {
-    SCOPED_TRACE("gauss-seidel");
-    GridBnclConfig cfg;
-    cfg.schedule = UpdateSchedule::gauss_seidel;
-    expect_same(run(s, cfg, true), run(s, cfg, false));
-  }
-  {
-    SCOPED_TRACE("node-parallel");
-    GridBnclConfig cfg;
-    cfg.threads = 4;
-    expect_same(run(s, cfg, true), run(s, cfg, false));
-  }
-  {
-    SCOPED_TRACE("budget forces recompute");
-    GridBnclConfig cfg;
-    cfg.message_cache_mb = 0;  // reuse requested but never affordable
-    expect_same(run(s, cfg, true), run(s, cfg, false));
-  }
-  {
-    SCOPED_TRACE("robustness stack");
-    ScenarioConfig scfg = default_config(41);
-    scfg.faults.crash_fraction = 0.1;
-    scfg.faults.outlier_fraction = 0.15;
-    const Scenario sf = build_scenario(scfg);
-    GridBnclConfig cfg;
-    cfg.robustness.robust_likelihood = true;
-    cfg.robustness.stale_ttl = 3;
-    expect_same(run(sf, cfg, true), run(sf, cfg, false));
-  }
+  simd::set_mode(session_mode);
+  EXPECT_GE(modes_checked, 1u);
+#endif
 }
 
 }  // namespace

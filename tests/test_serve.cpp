@@ -315,6 +315,85 @@ TEST(BatchService, InvalidRequestsEmitFailureLinesWithoutStoppingTheBatch) {
   EXPECT_EQ(service.last_batch().failed, 1u);
 }
 
+// --- Engine preconditions ---------------------------------------------------
+
+// A schema-valid request whose engine config breaks an engine precondition
+// must come back ok:false with the engine's own reason (the engine
+// constructor would abort the whole process), while the rest of the batch
+// still succeeds.
+void expect_rejected_in_batch(const std::string& engine,
+                              const std::string& engine_config,
+                              const std::string& reason) {
+  const std::string text =
+      R"({"tenant": "t", "id": "bad", "engine": ")" + engine +
+      R"(", "scenario": {"nodes": 24, "anchor_fraction": 0.25,
+                         "radio_range": 0.35},
+         "engine_config": )" +
+      engine_config + "}";
+  JsonValue v;
+  ASSERT_TRUE(parse_json(text, v, nullptr));
+  ServeRequest bad;
+  std::string error;
+  ASSERT_TRUE(parse_serve_request(v, bad, &error)) << error;
+  EXPECT_NE(validate(bad).find(reason), std::string::npos) << validate(bad);
+
+  std::vector<ServeRequest> batch;
+  batch.push_back(tiny_request("t", "good-0", 1));
+  batch.push_back(std::move(bad));
+  batch.push_back(tiny_request("t", "good-1", 3, EngineKind::particle));
+  BatchService service(ServeConfig{.threads = 2});
+  const auto responses = service.run_batch(batch);
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_TRUE(responses[0].ok) << responses[0].error;
+  EXPECT_FALSE(responses[1].ok);
+  EXPECT_TRUE(responses[2].ok) << responses[2].error;
+  EXPECT_EQ(service.last_batch().failed, 1u);
+
+  JsonValue line;
+  ASSERT_TRUE(parse_json(serve_response_json(responses[1]), line, nullptr));
+  EXPECT_FALSE(line.find("ok")->flag);
+  ASSERT_NE(line.find("error"), nullptr);
+  EXPECT_NE(line.find("error")->str.find(reason), std::string::npos)
+      << line.find("error")->str;
+}
+
+TEST(ServeValidate, GridSideBelowEightIsRejected) {
+  expect_rejected_in_batch("grid", R"({"grid_side": 6})",
+                           "grid_side must be >= 8");
+}
+
+TEST(ServeValidate, ParticleCountBelowEightIsRejected) {
+  expect_rejected_in_batch("particle", R"({"particle_count": 4})",
+                           "particle_count must be >= 8");
+}
+
+TEST(ServeValidate, ZeroPyramidLevelsIsRejected) {
+  expect_rejected_in_batch("grid", R"({"pyramid_levels": 0})",
+                           "pyramid_levels must be >= 1");
+}
+
+TEST(ServeValidate, UpdateQuorumAboveOneIsRejected) {
+  expect_rejected_in_batch("grid", R"({"update_quorum": 2.0})",
+                           "update_quorum must be in [0, 1]");
+}
+
+TEST(ServeValidate, NegativeUpdateQuorumIsRejected) {
+  expect_rejected_in_batch("grid", R"({"update_quorum": -0.5})",
+                           "update_quorum must be in [0, 1]");
+}
+
+TEST(ServeValidate, EngineBoundaryValuesAreAccepted) {
+  ServeRequest req = tiny_request("t", "edge", 1);
+  req.grid.grid_side = 8;
+  req.grid.robustness.update_quorum = 1.0;
+  EXPECT_EQ(validate(req), "");
+  req.grid.robustness.update_quorum = 0.0;
+  EXPECT_EQ(validate(req), "");
+  req.engine = EngineKind::particle;
+  req.particle.particle_count = 8;
+  EXPECT_EQ(validate(req), "");
+}
+
 // --- Cross-tenant kernel sharing --------------------------------------------
 
 TEST(BatchService, TenantsWithOverlappingDistancesShareTheGlobalCache) {
