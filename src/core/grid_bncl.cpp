@@ -5,13 +5,11 @@
 #include <cstdio>
 #include <optional>
 
-#include "fault/anchor_vetting.hpp"
+#include "core/round_protocol.hpp"
 #include "inference/grid_belief.hpp"
 #include "inference/kernel_cache.hpp"
 #include "inference/pyramid.hpp"
 #include "inference/range_kernel.hpp"
-#include "net/summary_channel.hpp"
-#include "net/sync_radio.hpp"
 #include "obs/telemetry.hpp"
 #include "support/assert.hpp"
 #include "support/thread_pool.hpp"
@@ -119,22 +117,14 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
   obs::PhaseTimer setup_timer("grid.setup");
 
   // --- Robustness preamble ------------------------------------------------
-  // Anchor vetting: flagged anchors act as wide-prior unknowns below, so a
-  // drifted anchor position is evidence to be weighed, not truth to obey.
-  std::vector<unsigned char> acts_anchor(n, 0);
-  for (std::size_t i = 0; i < n; ++i) acts_anchor[i] = scenario.is_anchor[i];
-  std::vector<PriorPtr> demoted_prior(n);
-  std::size_t anchors_demoted = 0;
-  if (config_.robustness.anchor_vetting) {
-    const AnchorVetReport vet = vet_anchors(scenario);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!scenario.is_anchor[i] || !vet.flagged[i]) continue;
-      acts_anchor[i] = 0;
-      demoted_prior[i] = GaussianPrior::isotropic(scenario.anchor_position(i),
-                                                  scenario.radio.range);
-      ++anchors_demoted;
-    }
-  }
+  // Anchor vetting, the transport and the degradation ladder live in the
+  // round protocol (core/round_protocol.hpp); this engine supplies the grid
+  // belief operations. Flagged anchors act as wide-prior unknowns below.
+  const AnchorRoles roles(scenario, config_.robustness.anchor_vetting);
+  const auto& acts_anchor = roles.acts_anchor;
+  RoundProtocol<SparseBelief> proto(scenario, roles, config_.robustness,
+                                    config_.transport,
+                                    config_.iteration.packet_loss, rng, "grid");
   const RangingSpec ranging =
       config_.robustness.robust_likelihood
           ? scenario.radio.ranging.contaminated(
@@ -156,11 +146,6 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
           : config_.max_support_cells;
 
   // --- Graph-shaped precomputes (resolution-independent) ------------------
-  std::vector<std::size_t> kernel_offset(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i)
-    kernel_offset[i + 1] = kernel_offset[i] + scenario.graph.degree(i);
-  const std::size_t n_links = kernel_offset[n];
-
   // Per-node parallelism pilot: the Jacobi update, the publish phase's
   // decide/sparsify pass, and the staged→current commit are independent
   // across nodes within a round, so they split across a pool. Gauss-Seidel
@@ -179,65 +164,20 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
           : std::vector<std::vector<std::size_t>>();
 
   // --- Published summaries (the "network state") --------------------------
-  // Each node's newest published summary and the one before it: a sync
-  // receiver whose delivery was lost this round still holds the previous
-  // copy. Async publishes carry a global sequence number, which the
+  // proto.cur/prev hold each node's newest published summary and the one
+  // before it. Async publishes carry a global sequence number, which the
   // channel uses to gate duplicates and reordering.
-  std::vector<SparseBelief> cur_pub(n), prev_pub(n);
   std::uint64_t pub_seq = 0;
   std::vector<unsigned char> ever_published(n, 0);
-
-  // Transport. Both radios draw from the same substream salt, so a config
-  // differing only in `transport.async` compares the same scenario under
-  // the two link layers. The sync radio now also honors a reboot schedule
-  // (battery-swap recovery); the async radio adds the full event-driven
-  // link layer plus the SummaryChannel that binds accepted sequence numbers
-  // back to payloads.
-  const bool async = config_.transport.async;
-  std::optional<SyncRadio> sync_radio;
-  std::optional<AsyncRadio> async_radio;
-  std::optional<SummaryChannel<SparseBelief>> channel;
-  if (async) {
-    async_radio.emplace(scenario.graph, config_.transport.radio,
-                        rng.split(0x5ad10), scenario.faults.death_round,
-                        scenario.faults.reboot_round);
-    channel.emplace(scenario.graph, *async_radio);
-  } else {
-    sync_radio.emplace(scenario.graph, config_.iteration.packet_loss,
-                       rng.split(0x5ad10), scenario.faults.death_round,
-                       scenario.faults.reboot_round);
-  }
-  const auto radio_crashed = [&](std::size_t u) {
-    return async ? async_radio->crashed(u) : sync_radio->crashed(u);
+  // Lossy sync rounds republish every round: a receiver that missed the
+  // last copy must not be starved by the re-broadcast TV gate.
+  const bool always_publish =
+      !proto.async() && config_.iteration.packet_loss > 0.0;
+  // A neighbor's summary is usable once it carries cells: the quorum gate
+  // and the update read the same predicate.
+  const auto usable = [](const SparseBelief* s) {
+    return s != nullptr && !s->empty();
   };
-  const auto radio_stats = [&]() -> const CommStats& {
-    return async ? async_radio->stats() : sync_radio->stats();
-  };
-  const bool always_publish = !async && config_.iteration.packet_loss > 0.0;
-  const std::size_t heartbeat =
-      async ? config_.transport.heartbeat_rounds : 0;
-  const double quorum = config_.robustness.update_quorum;
-  // Round a neighbor's summary was last delivered, per directed CSR slot
-  // (receiver-side); drives the stale-belief TTL under the sync transport
-  // (the async channel tracks its own accepted rounds). Indexed by the
-  // global round counter, so it carries across pyramid levels unchanged.
-  std::vector<std::size_t> last_heard(
-      !async && config_.robustness.stale_ttl > 0 ? n_links : 0, 0);
-  // Round each node last published, for the async heartbeat: a converged
-  // node re-announces at least every `heartbeat` rounds so a receiver whose
-  // last copy was dropped is not starved forever by the TV gate.
-  std::vector<std::size_t> last_pub_round(heartbeat > 0 ? n : 0, 0);
-  // Quorum-gate state machine, per node: `armed` starts set (the gate may
-  // hold from round one — under the async transport that synchronizes the
-  // bootstrap against in-flight first summaries), disarms after
-  // `quorum_patience` consecutive holds, and re-arms whenever a full
-  // quorum is observed. Written only by the owning node in the update
-  // sweep; carries across pyramid levels.
-  std::vector<unsigned char> quorum_armed(quorum > 0.0 ? n : 0, 1);
-  std::vector<std::uint32_t> quorum_streak(quorum > 0.0 ? n : 0, 0);
-  // Nodes rebooting in the current round (sync: just_rebooted scan; async:
-  // the radio's list) — the cold-restart hook.
-  std::vector<std::uint32_t> rebooted_scratch;
 
   // --- Cross-level belief state -------------------------------------------
   // The current beliefs and the last-published dense copies carry across
@@ -258,10 +198,6 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
   // each computed message charges summary-cells × kernel stamps. Plain
   // per-node accumulation — deterministic at any thread count.
   std::vector<std::uint64_t> node_cell_visits(n, 0), node_kernel_cells(n, 0);
-  // Nodes whose update was held this round by the partial-neighborhood
-  // quorum gate (telemetry; written per node in the parallel sweep, summed
-  // serially).
-  std::vector<unsigned char> node_quorum_held(n, 0);
   // Publish-phase two-pass state: pass 1 fills each node's candidate
   // summary in parallel; pass 2 commits sequence numbers and metered traffic
   // serially in node order (bit-identical at any thread count).
@@ -347,7 +283,7 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
         } else if (lvl == 0) {
           beliefops::set_from_prior(
               shape, prior_grid[i],
-              demoted_prior[i] ? *demoted_prior[i] : *scenario.priors[i]);
+              roles.prior(scenario, i));
           // Pyramid runs bound even the first level by the *prior's* own
           // support — pre-knowledge is exactly the license to skip cells
           // the prior already rules out (a belief rebuilt as
@@ -369,21 +305,20 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
                        .dilated(config_.pyramid_roi_margin, side);
           beliefops::set_from_prior_in(
               shape, prior_grid[i],
-              demoted_prior[i] ? *demoted_prior[i] : *scenario.priors[i],
-              roi[i]);
+              roles.prior(scenario, i), roi[i]);
         }
         copy_belief(prior_grid[i], next_belief[i]);
         if (lvl > 0 && ever_published[i]) {
-          cur_pub[i] = upsample_summary(prev_shape, shape, cur_pub[i]);
-          prev_pub[i] = upsample_summary(prev_shape, shape, prev_pub[i]);
+          proto.cur[i] = upsample_summary(prev_shape, shape, proto.cur[i]);
+          proto.prev[i] = upsample_summary(prev_shape, shape, proto.prev[i]);
         }
       }
       // Async: the channel's stored payloads (send histories awaiting
       // retried deliveries, and every receiver inbox) must be re-expressed
       // on the new grid too — receiver-locally, no radio traffic, same as
-      // the cur_pub/prev_pub translation above.
-      if (async && lvl > 0)
-        channel->transform([&](SparseBelief& s) {
+      // the cur/prev translation above.
+      if (lvl > 0)
+        proto.transform_payloads([&](SparseBelief& s) {
           s = upsample_summary(prev_shape, shape, s);
         });
       belief_opt.emplace(std::move(next_belief));
@@ -415,7 +350,7 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
     // the process. Per-lookup outcomes are metered so a run can report
     // its own hit rate against the shared cache.
     std::optional<KernelCache> kcache;
-    std::vector<const RangeKernel*> link_kernel(n_links, nullptr);
+    std::vector<const RangeKernel*> link_kernel(proto.link_count(), nullptr);
     const bool process_scope = config_.kernel_scope == KernelScope::process;
     KernelCache& cache =
         process_scope ? KernelCacheRegistry::instance().acquire(ranging, shape)
@@ -427,7 +362,7 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
       const auto nbs = scenario.graph.neighbors(i);
       for (std::size_t k = 0; k < nbs.size(); ++k) {
         bool built = false;
-        link_kernel[kernel_offset[i] + k] = cache.range(nbs[k].weight, &built);
+        link_kernel[proto.slot(i, k)] = cache.range(nbs[k].weight, &built);
         if (built)
           ++run_built;
         else
@@ -495,65 +430,22 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
 
     for (std::size_t level_round = 0; level_round < level_cap;
          ++level_round, ++iter) {
-      if (async)
-        channel->begin_round();
-      else
-        sync_radio->begin_round();
-
       // Reboot cold restart. A rebooted node's RAM is gone: its belief
       // restarts from the prior and its publish state resets (so the
-      // informative/TV gates treat it as a newcomer). Receiver-side state
-      // differs per transport: the
-      // async channel already wiped the inbox; the sync radio's shared
-      // cur_pub/prev_pub model the *senders'* state and stay readable (the
-      // idealization is a flash-persisted summary cache), with a TTL grace
-      // so retirement restarts from the reboot round.
-      std::span<const std::uint32_t> rebooted;
-      if (async) {
-        rebooted = async_radio->rebooted_this_round();
-      } else if (!scenario.faults.reboot_round.empty()) {
-        rebooted_scratch.clear();
-        for (std::size_t u = 0; u < n; ++u)
-          if (sync_radio->just_rebooted(u))
-            rebooted_scratch.push_back(static_cast<std::uint32_t>(u));
-        rebooted = rebooted_scratch;
-      }
-      for (const std::uint32_t r : rebooted) {
-        if (acts_anchor[r]) {  // an anchor's state is its surveyed position
-          continue;
-        }
+      // informative/TV gates treat it as a newcomer). Live published
+      // neighbors then relay their newest summary to it (async).
+      proto.begin_round([&](std::size_t r) {
         copy_belief(prior_grid[r], belief[r]);
         copy_belief(prior_grid[r], staged[r]);
         const std::span<double> lp = last_pub_dense[r];
         std::fill(lp.begin(), lp.end(), 0.0);
         ever_published[r] = 0;
-        cur_pub[r] = SparseBelief{};
-        prev_pub[r] = SparseBelief{};
-        if (!last_heard.empty())
-          for (std::size_t s = kernel_offset[r]; s < kernel_offset[r + 1];
-               ++s)
-            last_heard[s] = iter + 1;
-        // A fresh boot re-arms the quorum gate: wait for the re-entry
-        // relays to re-fill the inbox before committing to an update.
-        if (!quorum_armed.empty()) {
-          quorum_armed[r] = 1;
-          quorum_streak[r] = 0;
-        }
-        obs::count("grid.reboots");
-      }
-      // Warm re-entry (async): each live published neighbor
-      // store-and-forward relays its newest summary to the rebooted node,
-      // re-seeding its inbox in one hop instead of waiting out the TV-gate
-      // silence of converged neighbors.
-      if (async && config_.transport.reboot_relays) {
-        for (const std::uint32_t r : rebooted) {
-          for (const Neighbor& nb : scenario.graph.neighbors(r)) {
-            if (async_radio->crashed(nb.node) || !ever_published[nb.node])
-              continue;
-            channel->relay(nb.node, r, cur_pub[nb.node].payload_bytes());
-          }
-        }
-      }
+        proto.cur[r] = SparseBelief{};
+        proto.prev[r] = SparseBelief{};
+      });
+      proto.relay_to_rebooted(
+          [&](std::size_t u) { return ever_published[u] != 0; },
+          [](const SparseBelief& s) { return s.payload_bytes(); });
 
       // Publish phase: decide who broadcasts this round. A crashed node's
       // published state freezes at its last alive summary — neighbors keep
@@ -564,14 +456,9 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
       const auto decide_publish = [&](std::size_t u,
                                       std::vector<std::uint32_t>& oscratch) {
         will_publish[u] = 0;
-        if (radio_crashed(u)) return;
-        // Heartbeat (async): a quiet node re-announces at least every
-        // `heartbeat` rounds. Under a lossy async link a converged node's
-        // final summary can simply never have arrived somewhere — and the
-        // TV gate would keep it silent forever, starving that receiver.
+        if (proto.crashed(u)) return;
         const bool force_heartbeat =
-            heartbeat > 0 && ever_published[u] &&
-            iter + 1 - last_pub_round[u] >= heartbeat;
+            ever_published[u] && proto.heartbeat_due(u);
         // Quiet-node short circuit: once a node has published (and nothing
         // forces re-broadcast), the decision reduces to the re-broadcast TV
         // gate — evaluated first so a silent node never pays for the
@@ -611,17 +498,12 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
         // pass 1 was scheduled.
         for (std::size_t u = 0; u < n; ++u) {
           if (!will_publish[u]) continue;
-          prev_pub[u] = ever_published[u] ? std::move(cur_pub[u])
-                                          : pub_candidate[u];
-          cur_pub[u] = std::move(pub_candidate[u]);
+          const std::size_t bytes = pub_candidate[u].payload_bytes();
+          proto.publish(u, ++pub_seq, std::move(pub_candidate[u]), bytes);
+          // A first publish leaves no older copy: a receiver that misses
+          // it falls back to the same summary.
+          if (!ever_published[u]) proto.prev[u] = proto.cur[u];
           ever_published[u] = 1;
-          if (async) {
-            channel->publish(u, ++pub_seq, cur_pub[u],
-                             cur_pub[u].payload_bytes());
-            if (heartbeat > 0) last_pub_round[u] = iter + 1;
-          } else {
-            sync_radio->record_broadcast(u, cur_pub[u].payload_bytes());
-          }
         }
       }
 
@@ -641,93 +523,29 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
                                pub_cap, sp_scratch,
                                order_scratch);
         if (sp_scratch.covered_fraction >= config_.informative_coverage) {
-          cur_pub[i] = std::move(sp_scratch);
+          proto.cur[i] = std::move(sp_scratch);
           ever_published[i] = 1;
         }
       };
       const auto update_node = [&](std::size_t i,
                                    std::vector<double>& scratch) {
         if (acts_anchor[i]) return;
-        if (radio_crashed(i)) return;  // dead nodes stop computing too
+        if (proto.crashed(i)) return;  // dead nodes stop computing too
+        // Quorum hold: with most of the neighborhood unreachable, keep the
+        // previous belief rather than integrate the skewed remainder.
+        if (proto.should_hold(i, usable)) return;
         const std::span<double> next = staged[i];
         const auto nbs = scenario.graph.neighbors(i);
         const CellBox& box = roi[i];
         const std::uint64_t box_cells =
             static_cast<std::uint64_t>(box.cell_count());
-        const std::size_t ttl = config_.robustness.stale_ttl;
-
-        // The slot's summary if it is usable this round, else nullptr. The
-        // one predicate both transports share: the async channel serves its
-        // inbox (whatever was last *accepted*, however stale, until the TTL
-        // retires it); the sync radio serves the sender's current or
-        // previous summary depending on this round's delivery. Pure reads —
-        // callable any number of times per round.
-        const auto slot_input = [&](std::size_t k,
-                                    std::size_t slot) -> const SparseBelief* {
-          if (async) {
-            if (channel->version(slot) == 0) return nullptr;
-            if (ttl > 0 && iter + 1 - channel->heard_round(slot) > ttl)
-              return nullptr;
-            return &channel->payload(slot);
-          }
-          const std::size_t j = nbs[k].node;
-          const bool fresh = sync_radio->delivered(j, i);
-          if (ttl > 0) {
-            const std::size_t heard = fresh ? iter + 1 : last_heard[slot];
-            if (iter + 1 - heard > ttl) return nullptr;
-          }
-          const SparseBelief* src = fresh ? &cur_pub[j] : &prev_pub[j];
-          return src->empty() ? nullptr : src;
-        };
-
-        // Partial-neighborhood quorum: when most of the neighborhood is
-        // unreachable (partition, mass loss, crash cluster, summaries
-        // still in flight), hold the previous belief instead of
-        // integrating the skewed remainder — an update from the 1-2
-        // reachable neighbors drags the posterior toward their side of the
-        // cut. Bounded patience keeps the gate from deadlocking starts
-        // where quorum is structurally unreachable (diffuse priors: nobody
-        // has published yet, so nobody can ever reach quorum): after
-        // `quorum_patience` consecutive holds the gate disarms and the
-        // node free-runs until a full quorum is next observed.
-        if (quorum > 0.0 && !nbs.empty()) {
-          std::size_t usable = 0;
-          for (std::size_t k = 0; k < nbs.size(); ++k)
-            if (slot_input(k, kernel_offset[i] + k) != nullptr) ++usable;
-          const bool met = static_cast<double>(usable) >=
-                           quorum * static_cast<double>(nbs.size());
-          if (met) {
-            quorum_armed[i] = 1;
-            quorum_streak[i] = 0;
-          } else if (quorum_armed[i] &&
-                     quorum_streak[i] < config_.robustness.quorum_patience) {
-            ++quorum_streak[i];
-            node_quorum_held[i] = 1;
-            // A held node still *listened*: the sync TTL bookkeeping must
-            // record this round's deliveries or held rounds would count as
-            // silence and retire perfectly live neighbors.
-            if (!async && ttl > 0)
-              for (std::size_t k = 0; k < nbs.size(); ++k)
-                if (sync_radio->delivered(nbs[k].node, i))
-                  last_heard[kernel_offset[i] + k] = iter + 1;
-            return;
-          } else if (quorum_armed[i]) {
-            quorum_armed[i] = 0;  // patience exhausted: free-run
-            quorum_streak[i] = 0;
-          }
-        }
 
         beliefops::copy_in(prior_grid[i], next, side, box);
         node_cell_visits[i] += box_cells;  // prior copy
         for (std::size_t k = 0; k < nbs.size(); ++k) {
-          const std::size_t slot = kernel_offset[i] + k;
-          // Sync TTL bookkeeping: a slot undelivered for longer than the TTL
-          // retires — the neighbor is presumed dead and its stale summary
-          // decays out of the product.
-          if (!async && ttl > 0 && sync_radio->delivered(nbs[k].node, i))
-            last_heard[slot] = iter + 1;
-          const SparseBelief* src = slot_input(k, slot);
-          if (src == nullptr || src->empty()) continue;
+          const std::size_t slot = proto.slot(i, k);
+          const SparseBelief* src = proto.input(i, k);
+          if (!usable(src)) continue;
           const double peak =
               link_kernel[slot]->correlate(*src, scratch, side, &box);
           ++node_msgs_computed[i];
@@ -743,10 +561,11 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
           for (const std::size_t far : nonlinks[i]) {
             // With a TTL active, a dead node's frozen summary stops being
             // usable as non-link evidence as well. (Both transports read
-            // cur_pub[far] here — two-hop summaries are not on the radio at
+            // cur[far] here — two-hop summaries are not on the radio at
             // all; the non-link factor is an idealization either way.)
-            if (ttl > 0 && radio_crashed(far)) continue;
-            const SparseBelief& src = cur_pub[far];
+            if (config_.robustness.stale_ttl > 0 && proto.crashed(far))
+              continue;
+            const SparseBelief& src = proto.cur[far];
             // Negative evidence only pays off against a concentrated belief.
             if (src.empty() || src.covered_fraction < 0.9) continue;
             zero_in(scratch, box);
@@ -774,8 +593,6 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
                 std::uint64_t{0});
       std::fill(node_kernel_cells.begin(), node_kernel_cells.end(),
                 std::uint64_t{0});
-      std::fill(node_quorum_held.begin(), node_quorum_held.end(),
-                static_cast<unsigned char>(0));
       {
         const obs::Span update_span("grid.update");
         if (pool && !gauss_seidel) {
@@ -794,7 +611,6 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
       std::size_t changed_nodes = 0;
       std::uint64_t msgs_computed = 0;
       std::uint64_t cell_visits = 0, kernel_cells = 0;
-      std::size_t quorum_held = 0;
       for (std::size_t i = 0; i < n; ++i) {
         if (node_change[i] >= 0.0) {
           sum_change += node_change[i];
@@ -803,18 +619,17 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
         msgs_computed += node_msgs_computed[i];
         cell_visits += node_cell_visits[i];
         kernel_cells += node_kernel_cells[i];
-        quorum_held += node_quorum_held[i];
       }
       obs::count("grid.messages.computed", msgs_computed);
       obs::count("grid.cell_visits", cell_visits);
       obs::count("grid.kernel_cells", kernel_cells);
       obs::count(lvl_visits_name, cell_visits);
-      if (quorum_held) obs::count("grid.quorum_holds", quorum_held);
+      proto.end_round();
       if (!gauss_seidel) {
         const obs::Span commit_span("grid.commit");
         const auto commit_chunk = [&](std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i)
-            if (!acts_anchor[i] && !radio_crashed(i) && !node_quorum_held[i])
+            if (!acts_anchor[i] && !proto.crashed(i) && !proto.held(i))
               beliefops::copy_in(staged[i], belief[i], side, roi[i]);
         };
         if (pool)
@@ -837,33 +652,15 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
       }
       if (tracing) {
         emit_estimates();
-        obs::RobustActivity robust;
-        robust.anchors_demoted = anchors_demoted;
-        robust.quorum_held = quorum_held;
-        if (async) {
-          if (config_.robustness.stale_ttl > 0) {
-            std::size_t stale = 0;
-            for (std::size_t s = 0; s < n_links; ++s)
-              if (channel->has(s) && iter + 1 - channel->heard_round(s) >
-                                         config_.robustness.stale_ttl)
-                ++stale;
-            robust.stale_links = stale;
-          }
-          robust.crashed_nodes = async_radio->crashed_count();
-        } else {
-          robust.stale_links = obs::stale_link_count(
-              last_heard, iter + 1, config_.robustness.stale_ttl);
-          robust.crashed_nodes = sync_radio->crashed_count();
-        }
         obs::record_round(scenario, iter + 1, mean_change, result.estimates,
-                          radio_stats(), robust);
+                          proto.stats(), proto.activity());
       }
       // Converged at this resolution: the finest level ends the run; a
       // coarse level just hands over to the next rung early. A round with
       // quorum holds never counts: held nodes report no change precisely
       // because the network is too degraded to update them.
       if (mean_change < config_.iteration.convergence_tol &&
-          level_round >= 2 && quorum_held == 0) {
+          level_round >= 2 && proto.holds() == 0) {
         if (finest) result.converged = true;
         ++iter;
         break;
@@ -877,8 +674,7 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
 
   emit_estimates();
   result.iterations = iter;
-  result.comm = radio_stats();
-  if (async) result.transport_hash = async_radio->event_hash();
+  proto.finish(result);
   result.seconds = watch.seconds();
   return result;
 }

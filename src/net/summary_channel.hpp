@@ -7,10 +7,10 @@
 // Senders keep a short history of published payloads (bounded by the
 // radio's worst-case in-flight horizon, so a retried packet can always find
 // its body), and every receiver-side directed link keeps an inbox holding
-// the newest accepted summary. Engines read the inbox exactly like they
-// read `cur_pub`/`prev_pub` under SyncRadio — except here "newest accepted"
-// may be several rounds stale, which is precisely what the TTL/quorum
-// degradation ladder in the engines is for.
+// the newest accepted summary. The round protocol (core/round_protocol.hpp)
+// reads the inbox exactly like it reads `cur`/`prev` under SyncRadio —
+// except here "newest accepted" may be several rounds stale, which is
+// precisely what its TTL/quorum degradation ladder is for.
 //
 // Reboot handling mirrors the radio: when a node reboots, its inbox and its
 // publish history are cleared (RAM is gone) and neighbors re-seed it via
@@ -33,7 +33,7 @@ template <typename Payload>
 class SummaryChannel {
  public:
   SummaryChannel(const Graph& graph, AsyncRadio& radio)
-      : graph_(&graph), radio_(&radio) {
+      : radio_(&radio) {
     history_.resize(graph.node_count());
     inbox_.resize(radio.link_count());
     inbox_ver_.assign(radio.link_count(), 0);
@@ -102,9 +102,6 @@ class SummaryChannel {
   [[nodiscard]] bool has(std::size_t slot) const noexcept {
     return inbox_ver_[slot] != 0;
   }
-  [[nodiscard]] std::uint64_t version(std::size_t slot) const noexcept {
-    return inbox_ver_[slot];
-  }
   /// Round the inbox summary was accepted in (TTL staleness anchor).
   [[nodiscard]] std::size_t heard_round(std::size_t slot) const noexcept {
     return radio_->accepted_round(slot);
@@ -144,7 +141,6 @@ class SummaryChannel {
     return nullptr;
   }
 
-  const Graph* graph_;
   AsyncRadio* radio_;
   std::vector<std::deque<Stored>> history_;
   std::vector<Payload> inbox_;

@@ -60,9 +60,8 @@ class SyncRadio {
   /// crashed_nodes column). 0 when no crash schedule was given.
   [[nodiscard]] std::size_t crashed_count() const noexcept;
 
-  /// Did `node` come back from a crash in the round just begun? Engines use
-  /// this to force a republish past their change-gates: the rebooted node's
-  /// neighbors may have retired it (TTL) and will not hear it otherwise.
+  /// Did `node` come back from a crash in the round just begun? The round
+  /// protocol (core/round_protocol.hpp) runs its cold-restart hook on it.
   [[nodiscard]] bool just_rebooted(std::size_t node) const noexcept;
 
   /// Rounds elapsed (number of begin_round calls so far).

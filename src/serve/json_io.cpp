@@ -21,6 +21,11 @@ const JsonValue* JsonValue::find(std::string_view key) const noexcept {
 
 namespace {
 
+/// Deepest array/object nesting the reader accepts. Requests nest about
+/// five levels; the cap keeps the recursive descent far from the stack
+/// limit on hostile input (a line of 200k '[' would otherwise overflow it).
+constexpr std::size_t kMaxNesting = 128;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -80,8 +85,14 @@ class Parser {
     skip_ws();
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     switch (text_[pos_]) {
-      case '{': return object(out);
-      case '[': return array(out);
+      case '{':
+      case '[': {
+        if (depth_ == kMaxNesting) return fail("nesting deeper than 128");
+        ++depth_;
+        const bool ok = text_[pos_] == '{' ? object(out) : array(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out.kind = JsonValue::Kind::string;
         return string(out.str);
@@ -217,6 +228,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
   std::string reason_;
 };
 

@@ -27,6 +27,17 @@ std::size_t result_footprint(const ServeResponse& response) {
          response.report.errors.capacity() * sizeof(double);
 }
 
+/// A NaN or infinite estimate, covariance or error is a numerical
+/// failure, never an answer to report as success.
+bool finite_result(const ServeResponse& response) {
+  const auto finite = [](double v) { return std::isfinite(v); };
+  for (const auto& e : response.result.estimates)
+    if (e && !(finite(e->x) && finite(e->y))) return false;
+  for (const auto& c : response.result.covariances)
+    if (c && !(finite(c->xx) && finite(c->xy) && finite(c->yy))) return false;
+  return finite(response.report.summary.mean);
+}
+
 }  // namespace
 
 double BatchStats::latency_quantile(double q) const {
@@ -80,7 +91,8 @@ ServeResponse BatchService::serve_one(const ServeRequest& raw) const {
         ++response.localized;
     }
     if (config_.evaluate) response.report = evaluate(scenario, response.result);
-    response.ok = true;
+    response.ok = finite_result(response);
+    if (!response.ok) response.error = "non-finite result";
   } catch (const std::exception& ex) {
     response.ok = false;
     response.error = ex.what();

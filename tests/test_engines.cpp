@@ -4,7 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/gaussian_bncl.hpp"
 #include "core/grid_bncl.hpp"
@@ -12,6 +14,7 @@
 #include "eval/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "support/simd.hpp"
+#include "support/thread_pool.hpp"
 
 namespace bnloc {
 namespace {
@@ -468,6 +471,190 @@ TEST(GridBncl, SyncQuorumHoldsMatchGoldenDigests) {
       EXPECT_GT(sink.registry.counter("grid.quorum_holds"), 0u);
       EXPECT_EQ(result_digest(r), golden) << "threads=" << threads;
     }
+  }
+  simd::set_mode(session_mode);
+  EXPECT_GE(modes_checked, 1u);
+#endif
+}
+
+
+// The degradation ladder under both transports, with reboots: a sync leg
+// (loss, a short TTL, a quorum gate that holds) and an async leg (per-attempt
+// loss, TTL, quorum, store-and-forward re-entry relays). The crash and
+// reboot windows are pulled in so every reboot lands inside the round budget.
+ScenarioConfig reboot_config() {
+  ScenarioConfig cfg = default_config(41);
+  cfg.faults.crash_fraction = 0.2;
+  cfg.faults.outlier_fraction = 0.15;
+  cfg.faults.reboot_fraction = 0.6;
+  cfg.faults.reboot_delay_min = 2;
+  cfg.faults.reboot_delay_max = 4;
+  return cfg;
+}
+
+template <typename Config>
+Config sync_reboot_leg(Config cfg) {
+  cfg.iteration.packet_loss = 0.3;
+  cfg.robustness.stale_ttl = 2;
+  cfg.robustness.update_quorum = 0.6;
+  return cfg;
+}
+
+template <typename Config>
+Config async_reboot_leg(Config cfg) {
+  cfg.transport.async = true;
+  cfg.transport.radio.loss = 0.1;
+  cfg.transport.reboot_relays = true;
+  cfg.robustness.stale_ttl = 4;
+  cfg.robustness.update_quorum = 0.5;
+  return cfg;
+}
+
+// One leg's run under its own telemetry sink: the result digest plus the
+// counters that prove the ladder engaged.
+struct LegOutcome {
+  std::uint64_t digest = 0;
+  std::uint64_t holds = 0;
+  std::uint64_t reboots = 0;
+};
+
+template <typename Engine>
+LegOutcome run_leg(const Engine& engine, const Scenario& s,
+                   const std::string& prefix) {
+  obs::Telemetry sink;
+  LocalizationResult r;
+  {
+    const obs::TelemetryScope scope(&sink);
+    Rng rng(9);
+    r = engine.localize(s, rng);
+  }
+  return {result_digest(r), sink.registry.counter(prefix + ".quorum_holds"),
+          sink.registry.counter(prefix + ".reboots")};
+}
+
+// Particle and Gaussian runs are serial inside; their thread-count axis is
+// the harness's: `threads` concurrent copies of the leg on a pool of that
+// many workers must each reproduce the golden digest.
+template <typename Engine>
+void expect_leg_at_harness_threads(const Engine& engine, const Scenario& s,
+                                   const std::string& prefix,
+                                   std::uint64_t golden, const char* leg) {
+  for (const std::size_t threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    std::vector<LegOutcome> out(threads);
+    parallel_for_index(pool, threads, [&](std::size_t t) {
+      out[t] = run_leg(engine, s, prefix);
+    });
+    for (const LegOutcome& o : out) {
+      EXPECT_GT(o.holds, 0u) << leg << " threads=" << threads;
+      EXPECT_GT(o.reboots, 0u) << leg << " threads=" << threads;
+      EXPECT_EQ(o.digest, golden) << leg << " threads=" << threads;
+    }
+  }
+}
+
+// Digests captured from the engines before the round protocol was factored
+// out of them: the particle and Gaussian engines' own copies of the ladder,
+// and the grid's reboot path (cold restart, TTL grace, quorum re-arm,
+// relays), must be reproduced bit for bit by the shared driver.
+TEST(GridBncl, RebootLadderMatchesGoldenDigests) {
+#if !defined(__x86_64__) || defined(__FMA__)
+  GTEST_SKIP() << "golden digests are recorded for baseline x86-64 builds";
+#else
+  struct Golden {
+    simd::Mode mode;
+    std::uint64_t sync, async;
+  };
+  const Golden goldens[] = {
+      {simd::Mode::scalar, 0x7557b5e4d7d321a4ULL, 0xcd3e231a6900eb39ULL},
+      {simd::Mode::sse2, 0xa161ff1a80418d35ULL, 0x52d5714b55916622ULL},
+      {simd::Mode::avx2, 0xa4b366683aebd132ULL, 0x6be2a2b557f5ec18ULL},
+  };
+  const Scenario s = build_scenario(reboot_config());
+  const simd::Mode session_mode = simd::active_mode();
+  std::size_t modes_checked = 0;
+  for (const Golden& g : goldens) {
+    simd::set_mode(g.mode);
+    if (simd::active_mode() != g.mode) continue;  // CPU lacks this mode
+    SCOPED_TRACE(simd::active_name());
+    ++modes_checked;
+    for (const std::size_t threads : {1u, 4u}) {
+      GridBnclConfig cfg;
+      cfg.threads = threads;
+      const LegOutcome sync = run_leg(GridBncl(sync_reboot_leg(cfg)), s, "grid");
+      EXPECT_GT(sync.holds, 0u) << "sync threads=" << threads;
+      EXPECT_GT(sync.reboots, 0u) << "sync threads=" << threads;
+      EXPECT_EQ(sync.digest, g.sync) << "sync threads=" << threads;
+      const LegOutcome async =
+          run_leg(GridBncl(async_reboot_leg(cfg)), s, "grid");
+      EXPECT_GT(async.holds, 0u) << "async threads=" << threads;
+      EXPECT_GT(async.reboots, 0u) << "async threads=" << threads;
+      EXPECT_EQ(async.digest, g.async) << "async threads=" << threads;
+    }
+  }
+  simd::set_mode(session_mode);
+  EXPECT_GE(modes_checked, 1u);
+#endif
+}
+
+TEST(ParticleBncl, OutputsMatchGoldenDigests) {
+#if !defined(__x86_64__) || defined(__FMA__)
+  GTEST_SKIP() << "golden digests are recorded for baseline x86-64 builds";
+#else
+  struct Golden {
+    simd::Mode mode;
+    std::uint64_t sync, async;
+  };
+  const Golden goldens[] = {
+      {simd::Mode::scalar, 0x8977ec5c5655558fULL, 0x2ab41213f5508a2cULL},
+      {simd::Mode::sse2, 0x8977ec5c5655558fULL, 0x2ab41213f5508a2cULL},
+      {simd::Mode::avx2, 0x8977ec5c5655558fULL, 0x2ab41213f5508a2cULL},
+  };
+  const Scenario s = build_scenario(reboot_config());
+  ParticleBnclConfig cfg;
+  cfg.particle_count = 48;
+  const ParticleBncl sync(sync_reboot_leg(cfg));
+  const ParticleBncl async(async_reboot_leg(cfg));
+  const simd::Mode session_mode = simd::active_mode();
+  std::size_t modes_checked = 0;
+  for (const Golden& g : goldens) {
+    simd::set_mode(g.mode);
+    if (simd::active_mode() != g.mode) continue;  // CPU lacks this mode
+    SCOPED_TRACE(simd::active_name());
+    ++modes_checked;
+    expect_leg_at_harness_threads(sync, s, "particle", g.sync, "sync");
+    expect_leg_at_harness_threads(async, s, "particle", g.async, "async");
+  }
+  simd::set_mode(session_mode);
+  EXPECT_GE(modes_checked, 1u);
+#endif
+}
+
+TEST(GaussianBncl, OutputsMatchGoldenDigests) {
+#if !defined(__x86_64__) || defined(__FMA__)
+  GTEST_SKIP() << "golden digests are recorded for baseline x86-64 builds";
+#else
+  struct Golden {
+    simd::Mode mode;
+    std::uint64_t sync, async;
+  };
+  const Golden goldens[] = {
+      {simd::Mode::scalar, 0xcb95f69f980f4758ULL, 0x0079df97fa18b905ULL},
+      {simd::Mode::sse2, 0xcb95f69f980f4758ULL, 0x0079df97fa18b905ULL},
+      {simd::Mode::avx2, 0xcb95f69f980f4758ULL, 0x0079df97fa18b905ULL},
+  };
+  const Scenario s = build_scenario(reboot_config());
+  const GaussianBncl sync(sync_reboot_leg(GaussianBnclConfig{}));
+  const GaussianBncl async(async_reboot_leg(GaussianBnclConfig{}));
+  const simd::Mode session_mode = simd::active_mode();
+  std::size_t modes_checked = 0;
+  for (const Golden& g : goldens) {
+    simd::set_mode(g.mode);
+    if (simd::active_mode() != g.mode) continue;  // CPU lacks this mode
+    SCOPED_TRACE(simd::active_name());
+    ++modes_checked;
+    expect_leg_at_harness_threads(sync, s, "gauss", g.sync, "sync");
+    expect_leg_at_harness_threads(async, s, "gauss", g.async, "async");
   }
   simd::set_mode(session_mode);
   EXPECT_GE(modes_checked, 1u);

@@ -116,6 +116,19 @@ TEST(ServeJson, RejectsMalformedInputWithPosition) {
   EXPECT_FALSE(parse_json("01abc", v, &error));
 }
 
+TEST(ServeJson, DeepNestingIsAnOffsetErrorNotAStackOverflow) {
+  JsonValue v;
+  std::string error;
+  EXPECT_FALSE(parse_json(std::string(200000, '['), v, &error));
+  EXPECT_NE(error.find("offset 128: nesting deeper than 128"),
+            std::string::npos)
+      << error;
+  // Nesting up to the limit still parses.
+  EXPECT_TRUE(parse_json(std::string(128, '[') + std::string(128, ']'), v,
+                         &error))
+      << error;
+}
+
 TEST(ServeJson, DuplicateKeysKeepLastOccurrence) {
   JsonValue v;
   ASSERT_TRUE(parse_json(R"({"k": 1, "k": 2})", v, nullptr));
@@ -313,6 +326,66 @@ TEST(BatchService, InvalidRequestsEmitFailureLinesWithoutStoppingTheBatch) {
   EXPECT_NE(responses[1].error.find("radio_range"), std::string::npos);
   EXPECT_TRUE(responses[2].ok);
   EXPECT_EQ(service.last_batch().failed, 1u);
+}
+
+// A batch is one JSON document, and a batch that fails to decode is
+// rejected whole (request-level isolation starts after decoding). A request
+// nested 200k levels deep must therefore cost its batch a parse error with
+// an offset — not the process a stack overflow — and the same service then
+// serves the remaining requests.
+TEST(BatchService, DeeplyNestedRequestIsRejectedAndServingContinues) {
+  const std::string good = R"({"tenant": "t", "id": "good", "scenario":
+      {"nodes": 24, "anchor_fraction": 0.25, "radio_range": 0.35},
+      "engine_config": {"grid_side": 12, "max_iterations": 4}})";
+  std::string deep = R"({"tenant": "t", "id": "deep", "scenario": )";
+  deep.append(200000, '[');
+  std::vector<ServeRequest> batch;
+  std::string error;
+  EXPECT_FALSE(
+      parse_serve_batch("[" + good + ", " + deep + "]", batch, &error));
+  EXPECT_NE(error.find("nesting deeper than 128"), std::string::npos)
+      << error;
+
+  ASSERT_TRUE(parse_serve_batch("[" + good + ", " + good + "]", batch, &error))
+      << error;
+  BatchService service(ServeConfig{.threads = 2});
+  for (const ServeResponse& response : service.run_batch(batch))
+    EXPECT_TRUE(response.ok) << response.error;
+}
+
+// `noise: 1e308` gives every range an infinite standard deviation; the
+// Gaussian engine runs to completion with every estimate NaN. That must
+// come back as ok:false, never as a success with `mean_error: null`, and
+// co-batched requests are untouched.
+TEST(BatchService, NonFiniteResultIsReportedAsFailure) {
+  const std::string text =
+      R"({"tenant": "t", "id": "inf", "engine": "gauss", "scenario":
+          {"nodes": 24, "anchor_fraction": 0.25, "radio_range": 0.35,
+           "noise": 1e308}, "engine_config": {"max_iterations": 8}})";
+  JsonValue v;
+  ASSERT_TRUE(parse_json(text, v, nullptr));
+  ServeRequest bad;
+  std::string error;
+  ASSERT_TRUE(parse_serve_request(v, bad, &error)) << error;
+  EXPECT_EQ(validate(bad), "");
+
+  std::vector<ServeRequest> batch;
+  batch.push_back(tiny_request("t", "good-0", 1));
+  batch.push_back(std::move(bad));
+  batch.push_back(tiny_request("t", "good-1", 3, EngineKind::gauss));
+  BatchService service(ServeConfig{.threads = 2});
+  const auto responses = service.run_batch(batch);
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_TRUE(responses[0].ok) << responses[0].error;
+  EXPECT_FALSE(responses[1].ok);
+  EXPECT_EQ(responses[1].error, "non-finite result");
+  EXPECT_TRUE(responses[2].ok) << responses[2].error;
+  EXPECT_EQ(service.last_batch().failed, 1u);
+
+  JsonValue line;
+  ASSERT_TRUE(parse_json(serve_response_json(responses[1]), line, nullptr));
+  EXPECT_FALSE(line.find("ok")->flag);
+  EXPECT_EQ(line.find("mean_error"), nullptr);
 }
 
 // --- Engine preconditions ---------------------------------------------------
