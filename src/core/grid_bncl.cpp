@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <optional>
+#include <thread>
 
 #include "core/round_protocol.hpp"
 #include "inference/grid_belief.hpp"
@@ -96,10 +97,7 @@ std::vector<std::vector<std::size_t>> two_hop_nonlinks(const Scenario& s,
       is_nb[i] = 0;
     }
   };
-  if (pool != nullptr)
-    parallel_for_chunks(*pool, s.node_count(), scan);
-  else
-    scan(0, s.node_count());
+  parallel_for_chunks(pool, s.node_count(), scan);
   return out;
 }
 
@@ -146,21 +144,31 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
           : config_.max_support_cells;
 
   // --- Graph-shaped precomputes (resolution-independent) ------------------
-  // Per-node parallelism pilot: the Jacobi update, the publish phase's
-  // decide/sparsify pass, and the staged→current commit are independent
-  // across nodes within a round, so they split across a pool. Gauss-Seidel
-  // is order-dependent and keeps the serial update path regardless of
-  // config_.threads.
-  const bool parallel_update = config_.threads != 1 &&
-                               config_.schedule == UpdateSchedule::jacobi &&
-                               n > 1;
-  std::optional<ThreadPool> pool;
-  if (parallel_update) pool.emplace(config_.threads);
+  // Node-parallel work: every node-scaled loop below (level switch, kernel
+  // construction, publish decisions, the Jacobi update, commit, estimates)
+  // reads shared state and writes only its own node's slots, so it splits
+  // across this thread and a pool of one worker fewer than the configured
+  // thread count. No pool when Gauss-Seidel (order-dependent by
+  // definition), when threads == 1, or when this solve already runs on a
+  // pool worker (a BatchService or trial worker: the outer fan-out is the
+  // parallelism, support/thread_pool.hpp) — every loop then runs serially.
+  // The default team is half the hardware threads: every region waits for
+  // its slowest thread, so a team that fills the machine loses most of its
+  // gain as soon as anything else runs there (GridBnclConfig::threads).
+  const std::size_t team =
+      config_.threads != 0
+          ? config_.threads
+          : std::max<std::size_t>(1, std::thread::hardware_concurrency() / 2);
+  const bool parallel = team > 1 &&
+                        config_.schedule == UpdateSchedule::jacobi && n > 1 &&
+                        !ThreadPool::on_worker_thread();
+  std::optional<ThreadPool> pool_storage;
+  if (parallel) pool_storage.emplace(team - 1);
+  ThreadPool* const pool = pool_storage ? &*pool_storage : nullptr;
 
   const auto nonlinks =
       config_.use_negative_evidence
-          ? two_hop_nonlinks(scenario, config_.negative_max_pairs,
-                             pool ? &*pool : nullptr)
+          ? two_hop_nonlinks(scenario, config_.negative_max_pairs, pool)
           : std::vector<std::vector<std::size_t>>();
 
   // --- Published summaries (the "network state") --------------------------
@@ -207,15 +215,17 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
   std::vector<std::uint32_t> order_scratch;
 
   const auto emit_estimates = [&]() {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (scenario.is_anchor[i]) continue;
-      result.estimates[i] =
-          config_.map_estimate
-              ? beliefops::argmax(cur_shape, (*belief_opt)[i])
-              : beliefops::mean(cur_shape, (*belief_opt)[i]);
-      result.covariances[i] =
-          beliefops::covariance(cur_shape, (*belief_opt)[i]);
-    }
+    parallel_for_chunks(pool, n, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        if (scenario.is_anchor[i]) continue;
+        result.estimates[i] =
+            config_.map_estimate
+                ? beliefops::argmax(cur_shape, (*belief_opt)[i])
+                : beliefops::mean(cur_shape, (*belief_opt)[i]);
+        result.covariances[i] =
+            beliefops::covariance(cur_shape, (*belief_opt)[i]);
+      }
+    });
   };
 
   setup_timer.stop();
@@ -270,12 +280,16 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
     // quiet forever and their neighbors keep multiplying blurred coarse
     // summaries). Anchors restart from the exact delta at the new
     // resolution and re-announce it immediately.
-    BeliefStore prior_grid(shape, n);
+    // Every node's switch is independent (it reads the previous level's
+    // belief and writes only its own slots), so the loop is node-parallel.
+    // The stores start uninitialized and the loop writes every slice, so
+    // their first touch is split across the pool too.
+    constexpr BeliefStore::Uninitialized uninit;
+    BeliefStore prior_grid(shape, n, uninit);
     {
-      BeliefStore next_belief(shape, n);
-      BeliefStore next_last_pub(shape, n);
-      std::vector<double> up(lvl > 0 ? cells : 0);
-      for (std::size_t i = 0; i < n; ++i) {
+      BeliefStore next_belief(shape, n, uninit);
+      BeliefStore next_last_pub(shape, n, uninit);
+      const auto switch_node = [&](std::size_t i, std::vector<double>& up) {
         if (acts_anchor[i]) {
           beliefops::set_delta(shape, prior_grid[i],
                                scenario.anchor_position(i));
@@ -303,16 +317,22 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
           upsample_belief(prev_shape, (*belief_opt)[i], shape, up);
           roi[i] = beliefops::support_box(up, side, kRoiPeakFraction)
                        .dilated(config_.pyramid_roi_margin, side);
+          std::ranges::fill(prior_grid[i], 0.0);  // zero outside the ROI
           beliefops::set_from_prior_in(
               shape, prior_grid[i],
               roles.prior(scenario, i), roi[i]);
         }
         copy_belief(prior_grid[i], next_belief[i]);
+        std::ranges::fill(next_last_pub[i], 0.0);
         if (lvl > 0 && ever_published[i]) {
           proto.cur[i] = upsample_summary(prev_shape, shape, proto.cur[i]);
           proto.prev[i] = upsample_summary(prev_shape, shape, proto.prev[i]);
         }
-      }
+      };
+      parallel_for_chunks(pool, n, [&](std::size_t begin, std::size_t end) {
+        std::vector<double> up(lvl > 0 ? cells : 0);
+        for (std::size_t i = begin; i < end; ++i) switch_node(i, up);
+      });
       // Async: the channel's stored payloads (send histories awaiting
       // retried deliveries, and every receiver inbox) must be re-expressed
       // on the new grid too — receiver-locally, no radio traffic, same as
@@ -336,8 +356,11 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
     }
     BeliefStore& belief = *belief_opt;
     BeliefStore& last_pub_dense = *last_pub_opt;
-    BeliefStore staged(shape, n);  // Jacobi double buffer
-    for (std::size_t i = 0; i < n; ++i) copy_belief(belief[i], staged[i]);
+    BeliefStore staged(shape, n, uninit);  // Jacobi double buffer
+    parallel_for_chunks(pool, n, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i)
+        copy_belief(belief[i], staged[i]);
+    });
 
     // --- Precomputed kernels per directed CSR slot ------------------------
     // Kernels are pure functions of the measured distance (the spec and
@@ -348,27 +371,29 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
     // registry shard of this (ranging, shape) parameter set: same pure
     // kernels, but construction cost is shared with every other run in
     // the process. Per-lookup outcomes are metered so a run can report
-    // its own hit rate against the shared cache.
+    // its own hit rate against the shared cache. The level's distinct
+    // missing kernels are built across the pool, outside the cache lock.
     std::optional<KernelCache> kcache;
     std::vector<const RangeKernel*> link_kernel(proto.link_count(), nullptr);
     const bool process_scope = config_.kernel_scope == KernelScope::process;
     KernelCache& cache =
         process_scope ? KernelCacheRegistry::instance().acquire(ranging, shape)
                       : kcache.emplace(ranging, shape);
-    std::size_t run_built = 0;
-    std::size_t run_shared = 0;
+    std::vector<double> slot_dist;
+    std::vector<std::size_t> slot_of;
     for (std::size_t i = 0; i < n; ++i) {
       if (acts_anchor[i]) continue;
       const auto nbs = scenario.graph.neighbors(i);
       for (std::size_t k = 0; k < nbs.size(); ++k) {
-        bool built = false;
-        link_kernel[proto.slot(i, k)] = cache.range(nbs[k].weight, &built);
-        if (built)
-          ++run_built;
-        else
-          ++run_shared;
+        slot_dist.push_back(nbs[k].weight);
+        slot_of.push_back(proto.slot(i, k));
       }
     }
+    std::vector<const RangeKernel*> slot_kernel(slot_dist.size());
+    const std::size_t run_built = cache.range_many(slot_dist, slot_kernel, pool);
+    const std::size_t run_shared = slot_dist.size() - run_built;
+    for (std::size_t k = 0; k < slot_of.size(); ++k)
+      link_kernel[slot_of[k]] = slot_kernel[k];
     obs::count("grid.kernels.built", run_built);
     obs::count("grid.kernels.shared", run_shared);
     if (process_scope) {
@@ -380,8 +405,6 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
         config_.use_negative_evidence
             ? RangeKernel::make_connectivity(scenario.radio, shape)
             : RangeKernel();
-
-    std::vector<double> msg(cells);
 
     // m(x) = 1 - P(link | x): cap at 1 (kernel overlap can exceed it
     // slightly on coarse grids). Only the receiver's ROI rows are read
@@ -483,16 +506,10 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
       };
       {
         const obs::Span publish_span("grid.publish");
-        if (pool) {
-          parallel_for_chunks(*pool, n,
-                              [&](std::size_t begin, std::size_t end) {
-                                std::vector<std::uint32_t> oscratch;
-                                for (std::size_t u = begin; u < end; ++u)
-                                  decide_publish(u, oscratch);
-                              });
-        } else {
-          for (std::size_t u = 0; u < n; ++u) decide_publish(u, order_scratch);
-        }
+        parallel_for_chunks(pool, n, [&](std::size_t begin, std::size_t end) {
+          std::vector<std::uint32_t> oscratch;
+          for (std::size_t u = begin; u < end; ++u) decide_publish(u, oscratch);
+        });
         // Pass 2 (serial, node order): sequence numbers and metered traffic
         // are order-sensitive, so they commit in node order regardless of how
         // pass 1 was scheduled.
@@ -595,16 +612,11 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
                 std::uint64_t{0});
       {
         const obs::Span update_span("grid.update");
-        if (pool && !gauss_seidel) {
-          parallel_for_chunks(*pool, n,
-                              [&](std::size_t begin, std::size_t end) {
-                                std::vector<double> scratch(cells);
-                                for (std::size_t i = begin; i < end; ++i)
-                                  update_node(i, scratch);
-                              });
-        } else {
-          for (std::size_t i = 0; i < n; ++i) update_node(i, msg);
-        }
+        // Gauss-Seidel never has a pool: one in-order chunk.
+        parallel_for_chunks(pool, n, [&](std::size_t begin, std::size_t end) {
+          std::vector<double> scratch(cells);
+          for (std::size_t i = begin; i < end; ++i) update_node(i, scratch);
+        });
       }
 
       double sum_change = 0.0;
@@ -632,10 +644,7 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
             if (!acts_anchor[i] && !proto.crashed(i) && !proto.held(i))
               beliefops::copy_in(staged[i], belief[i], side, roi[i]);
         };
-        if (pool)
-          parallel_for_chunks(*pool, n, commit_chunk);
-        else
-          commit_chunk(0, n);
+        parallel_for_chunks(pool, n, commit_chunk);
       }
 
       const double mean_change =

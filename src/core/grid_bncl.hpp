@@ -129,21 +129,30 @@ struct GridBnclConfig {
   /// enables `process` and trims between batches (docs/SERVICE.md).
   KernelScope kernel_scope = KernelScope::run;
 
-  /// Worker threads for the node-parallel phases within a round (the
-  /// per-node parallelism pilot, F14 part B; extended in PR5). Three phases
-  /// split across the pool: the Jacobi belief update (including the
-  /// negative-evidence message construction, which lives inside it), the
-  /// publish phase's decide/sparsify pass, and the staged→current belief
-  /// commit. All are independent across nodes — each reads the round-start
-  /// summaries and writes only its own slots — and the order-sensitive
-  /// effects (publish sequence numbers, metered radio traffic) are committed
-  /// by a serial second pass in node order, so any thread count yields
-  /// bit-identical results. The Gauss-Seidel update schedule is
-  /// order-dependent by definition and always runs its sweep serially.
-  /// 1 (default) keeps the engine single-threaded so trial-level
-  /// parallelism above it never oversubscribes; 0 selects hardware
-  /// concurrency.
-  std::size_t threads = 1;
+  /// Threads for the node-parallel work of one solve (F14 part B), the
+  /// calling thread included: it takes part alongside a per-localize()
+  /// pool of `threads - 1` workers. Every node-scaled loop splits across
+  /// them: the level switch (prior rasterize, upsample, ROI, summary
+  /// translation, staged copy), the level's kernel construction, the
+  /// publish phase's decide/sparsify pass, the Jacobi belief update
+  /// (including the negative-evidence messages), the staged→current
+  /// commit and the estimates. All are independent across nodes — each reads the
+  /// round-start summaries and writes only its own slots — and the
+  /// order-sensitive effects (publish sequence numbers, metered radio
+  /// traffic) are committed by a serial second pass in node order, so any
+  /// thread count yields bit-identical results. 0 (default) selects half
+  /// the hardware threads (at least 1); 1 keeps the solve single-threaded.
+  /// Half, because each of a solve's ~80 regions waits for its slowest
+  /// thread: a team that fills every core stalls whenever any core is
+  /// taken by other work. On a 4-vCPU VM at grid 48, a second solve
+  /// running beside it cut a 4-thread team from ~4.8 to ~2.6 solves/s
+  /// and a 2-thread team only from ~2.8 to ~2.5. Parallel at
+  /// top level, inline inside any pool worker: a solve already running on
+  /// a ThreadPool worker (BatchService, the trial fan-out of
+  /// RunOptions::threads) runs serially whatever this says, so nothing
+  /// oversubscribes. The Gauss-Seidel schedule is order-dependent by
+  /// definition and always runs serially.
+  std::size_t threads = 0;
 
   /// Optional per-iteration hook (estimates indexed by node; anchors too).
   std::function<void(std::size_t iteration,

@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -222,29 +223,43 @@ void sparsify_in(std::span<const double> mass, std::size_t side,
 /// allocations instead of eight hundred.
 class BeliefStore {
  public:
+  /// Every slice zero.
   BeliefStore(const GridShape& shape, std::size_t count)
       : shape_(shape),
         cells_(shape.cell_count()),
-        data_(count * shape.cell_count(), 0.0) {}
+        size_(count * cells_),
+        data_(std::make_unique<double[]>(size_)) {}
+
+  /// Tag for the constructor that leaves the slices uninitialized.
+  struct Uninitialized {};
+  /// Slices hold indeterminate values until written. For callers that
+  /// write every slice before reading it: a large store is then first
+  /// touched by whichever threads fill its slices, not zeroed serially.
+  BeliefStore(const GridShape& shape, std::size_t count, Uninitialized)
+      : shape_(shape),
+        cells_(shape.cell_count()),
+        size_(count * cells_),
+        data_(std::make_unique_for_overwrite<double[]>(size_)) {}
 
   [[nodiscard]] const GridShape& shape() const noexcept { return shape_; }
   [[nodiscard]] std::size_t count() const noexcept {
-    return cells_ ? data_.size() / cells_ : 0;
+    return cells_ ? size_ / cells_ : 0;
   }
   [[nodiscard]] std::size_t cells() const noexcept { return cells_; }
 
   [[nodiscard]] std::span<double> operator[](std::size_t i) noexcept {
-    return {data_.data() + i * cells_, cells_};
+    return {data_.get() + i * cells_, cells_};
   }
   [[nodiscard]] std::span<const double> operator[](
       std::size_t i) const noexcept {
-    return {data_.data() + i * cells_, cells_};
+    return {data_.get() + i * cells_, cells_};
   }
 
  private:
   GridShape shape_;
   std::size_t cells_;
-  std::vector<double> data_;
+  std::size_t size_;
+  std::unique_ptr<double[]> data_;
 };
 
 /// Copy one belief slice onto another (any mix of stores/spans).

@@ -1,5 +1,8 @@
 #include "inference/kernel_cache.hpp"
 
+#include "support/assert.hpp"
+#include "support/thread_pool.hpp"
+
 namespace bnloc {
 
 const RangeKernel* KernelCache::range(double measured) {
@@ -21,6 +24,67 @@ const RangeKernel* KernelCache::range(double measured, bool* built) {
   }
   *built = fresh;
   return &kernels_[it->second];
+}
+
+std::size_t KernelCache::range_many(std::span<const double> measured,
+                                   std::span<const RangeKernel*> out,
+                                   ThreadPool* pool) {
+  BNLOC_ASSERT(out.size() == measured.size(),
+               "range_many: one output slot per distance");
+  const auto key = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  if (pool == nullptr) {
+    // Serial caller: one locked lookup at a time, each miss built under the
+    // lock, so a concurrent run missing the same distance waits for this
+    // build and shares it instead of repeating it (cold serve batches).
+    std::size_t built = 0;
+    for (std::size_t k = 0; k < measured.size(); ++k) {
+      bool b = false;
+      out[k] = range(measured[k], &b);
+      built += b ? 1 : 0;
+    }
+    return built;
+  }
+  // Pool: resolve hits and collect each missing distance once, build them
+  // across the pool outside the lock, then insert.
+  std::vector<double> missing;
+  std::vector<std::size_t> pending;  // lookups waiting on a missing kernel
+  {
+    std::unordered_map<std::uint64_t, std::size_t> seen;
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t k = 0; k < measured.size(); ++k) {
+      const auto it = index_.find(key(measured[k]));
+      if (it != index_.end()) {
+        out[k] = &kernels_[it->second];
+        continue;
+      }
+      if (seen.try_emplace(key(measured[k]), missing.size()).second)
+        missing.push_back(measured[k]);
+      pending.push_back(k);
+    }
+    stats_.shared += measured.size() - pending.size();
+  }
+  if (missing.empty()) return 0;
+  std::vector<RangeKernel> fresh(missing.size());
+  parallel_for_chunks(*pool, missing.size(),
+                      [&](std::size_t begin, std::size_t end) {
+                        for (std::size_t j = begin; j < end; ++j)
+                          fresh[j] = RangeKernel::make_range(
+                              missing[j], ranging_, shape_, trunc_sigmas_);
+                      });
+  std::size_t built = 0;
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (std::size_t j = 0; j < missing.size(); ++j) {
+    if (!index_.try_emplace(key(missing[j]), kernels_.size()).second)
+      continue;  // inserted by a concurrent lookup meanwhile
+    kernels_.push_back(std::move(fresh[j]));
+    bytes_ += kernels_.back().approx_bytes();
+    ++built;
+  }
+  for (const std::size_t k : pending)
+    out[k] = &kernels_[index_.find(key(measured[k]))->second];
+  stats_.built += built;
+  stats_.shared += pending.size() - built;
+  return built;
 }
 
 KernelCache::Stats KernelCache::stats() const {

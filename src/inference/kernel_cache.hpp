@@ -27,12 +27,15 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "inference/range_kernel.hpp"
 
 namespace bnloc {
+
+class ThreadPool;
 
 class KernelCache {
  public:
@@ -54,6 +57,17 @@ class KernelCache {
   /// against a shared cache need the per-lookup outcome — the cumulative
   /// stats() below span every run that ever touched the cache.
   const RangeKernel* range(double measured, bool* built);
+
+  /// Batch lookup: out[k] = range(measured[k]) for every k. Returns how
+  /// many lookups built a kernel: the same built/shared split as calling
+  /// range(measured[k], &built) for each k in order. Without a pool that
+  /// is exactly what it does. With one, the distinct distances the cache
+  /// lacks are constructed across the pool outside the lock and inserted
+  /// afterwards; a distance another thread inserted in the meantime keeps
+  /// the stored kernel and counts as shared.
+  std::size_t range_many(std::span<const double> measured,
+                         std::span<const RangeKernel*> out,
+                         ThreadPool* pool = nullptr);
 
   struct Stats {
     std::size_t built = 0;   ///< distinct kernels constructed.

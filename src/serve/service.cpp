@@ -54,12 +54,11 @@ BatchService::BatchService(ServeConfig config)
     : config_(config), pool_(config.threads) {}
 
 ServeRequest BatchService::sanitize(ServeRequest request) const {
-  // Execution knobs only: the batch is the parallelism (nested engine pools
-  // would oversubscribe), and kernel scope follows the service's sharing
-  // policy. Neither changes any output bit — single-threaded and
-  // multi-threaded grid rounds are bit-identical by the engine's own
-  // contract, and kernels are pure functions of their cache key.
-  request.grid.threads = 1;
+  // Execution knobs only: kernel scope follows the service's sharing
+  // policy, which changes no output bit (kernels are pure functions of
+  // their cache key). Engine threads need no pin: requests run on the
+  // pool's workers, where an engine's parallel regions run inline
+  // (support/thread_pool.hpp), so the batch is the parallelism.
   request.grid.kernel_scope =
       config_.share_kernels ? KernelScope::process : KernelScope::run;
   return request;

@@ -13,11 +13,12 @@
 //    wall-clock fields) is a pure function of the request. Solo or batched,
 //    1 worker or 64, co-tenants or alone — bit-identical. Enforced by
 //    tests/test_serve.cpp and the bench_p3_serve identity gate.
-//  * Engines run single-threaded inside the service (the batch is the
-//    parallelism; nested pools would oversubscribe), and grid requests are
-//    switched to the process-global kernel scope when `share_kernels` is
-//    on. Both are sanitization of *execution* knobs — semantic engine
-//    config is honored verbatim.
+//  * Engines run single-threaded inside the service: requests execute on
+//    the pool's workers, where an engine's parallel regions run inline
+//    (support/thread_pool.hpp), so the batch is the parallelism and nothing
+//    oversubscribes. Grid requests are switched to the process-global
+//    kernel scope when `share_kernels` is on — sanitization of an
+//    *execution* knob; semantic engine config is honored verbatim.
 //  * Tenant accounting: per-tenant request/failure counts, summed service
 //    latency, and the arena high-water that is the "memory per tenant"
 //    number. Response JSON lines live in the owning tenant's arena until
@@ -178,8 +179,8 @@ class BatchService {
     explicit Tenant(std::size_t chunk_bytes) : arena(chunk_bytes) {}
   };
 
-  /// Execution-knob sanitization (never semantic): engine threads to 1,
-  /// kernel scope per `share_kernels`.
+  /// Execution-knob sanitization (never semantic): kernel scope per
+  /// `share_kernels`.
   [[nodiscard]] ServeRequest sanitize(ServeRequest request) const;
 
   ServeConfig config_;

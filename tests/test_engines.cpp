@@ -239,12 +239,13 @@ TEST(GridBncl, FinerGridIsMoreAccurate) {
 }
 
 TEST(GridBncl, NodeParallelUpdateIsBitIdentical) {
-  // The per-node parallelism pilot: the Jacobi update is independent across
+  // Node-parallel rounds: the Jacobi update is independent across
   // nodes within a round, so any thread count must reproduce the serial
   // beliefs exactly — estimates, covariances, and the convergence trace.
   const Scenario s = build_scenario(default_config(51));
-  for (std::size_t threads : {2u, 3u}) {
+  for (std::size_t threads : {0u, 2u, 3u}) {  // 0: the default team
     GridBnclConfig serial_cfg, par_cfg;
+    serial_cfg.threads = 1;
     par_cfg.threads = threads;
     Rng r1(7), r2(7);
     const auto a = GridBncl(serial_cfg).localize(s, r1);
@@ -278,6 +279,7 @@ TEST(GridBncl, NodeParallelUpdateSurvivesFaultsAndTtl) {
   GridBnclConfig serial_cfg, par_cfg;
   serial_cfg.robustness.stale_ttl = 3;
   par_cfg.robustness.stale_ttl = 3;
+  serial_cfg.threads = 1;
   par_cfg.threads = 4;
   Rng r1(9), r2(9);
   const auto a = GridBncl(serial_cfg).localize(s, r1);
@@ -397,8 +399,18 @@ TEST(GridBncl, OutputsMatchGoldenDigests) {
   loss.iteration.packet_loss = 0.2;
   GridBnclConfig gauss_seidel;
   gauss_seidel.schedule = UpdateSchedule::gauss_seidel;
+  GridBnclConfig serial;
+  serial.threads = 1;
   GridBnclConfig parallel;
   parallel.threads = 4;
+  // The default config solved on a pool worker: its parallel regions run
+  // inline there (support/thread_pool.hpp).
+  const auto digest_on_worker = [&](const Scenario& sc) {
+    ThreadPool harness(1);
+    std::uint64_t d = 0;
+    parallel_for_index(harness, 1, [&](std::size_t) { d = digest(sc, {}); });
+    return d;
+  };
   GridBnclConfig robust;
   robust.robustness.robust_likelihood = true;
   robust.robustness.stale_ttl = 3;
@@ -415,10 +427,12 @@ TEST(GridBncl, OutputsMatchGoldenDigests) {
     if (simd::active_mode() != g.mode) continue;  // CPU lacks this mode
     SCOPED_TRACE(simd::active_name());
     ++modes_checked;
-    EXPECT_EQ(digest(s, {}), g.plain) << "default";
+    EXPECT_EQ(digest(s, {}), g.plain) << "default (threads=0)";
+    EXPECT_EQ(digest(s, serial), g.plain) << "serial";
     EXPECT_EQ(digest(s, loss), g.loss) << "packet loss";
     EXPECT_EQ(digest(s, gauss_seidel), g.gauss_seidel) << "gauss-seidel";
     EXPECT_EQ(digest(s, parallel), g.plain) << "node-parallel";
+    EXPECT_EQ(digest_on_worker(s), g.plain) << "default on a pool worker";
     EXPECT_EQ(digest(sf, robust), g.robust) << "robustness stack";
     EXPECT_EQ(digest(sf, async), g.async) << "async transport";
   }
@@ -458,7 +472,7 @@ TEST(GridBncl, SyncQuorumHoldsMatchGoldenDigests) {
     if (simd::active_mode() != mode) continue;  // CPU lacks this mode
     SCOPED_TRACE(simd::active_name());
     ++modes_checked;
-    for (const std::size_t threads : {1u, 4u}) {
+    for (const std::size_t threads : {1u, 4u, 0u}) {  // 0: the default
       cfg.threads = threads;
       obs::Telemetry sink;
       LocalizationResult r;
@@ -578,7 +592,7 @@ TEST(GridBncl, RebootLadderMatchesGoldenDigests) {
     if (simd::active_mode() != g.mode) continue;  // CPU lacks this mode
     SCOPED_TRACE(simd::active_name());
     ++modes_checked;
-    for (const std::size_t threads : {1u, 4u}) {
+    for (const std::size_t threads : {1u, 4u, 0u}) {  // 0: the default
       GridBnclConfig cfg;
       cfg.threads = threads;
       const LegOutcome sync = run_leg(GridBncl(sync_reboot_leg(cfg)), s, "grid");

@@ -13,6 +13,7 @@
 #include "core/grid_bncl.hpp"
 #include "deploy/scenario.hpp"
 #include "inference/kernel_cache.hpp"
+#include "support/thread_pool.hpp"
 
 namespace bnloc {
 namespace {
@@ -84,6 +85,38 @@ TEST(KernelCache, PointersStayValidAsCacheGrows) {
 // replay a kernel against a border-hugging source so runs get clipped on
 // every side, and check mass conservation properties that only hold when
 // clipping is correct.
+TEST(KernelCache, BatchLookupMatchesOneByOneLookups) {
+  // Repeats within the batch and a distance already cached: the batch
+  // resolves to the same kernels and the same built/shared split as
+  // calling range() on each entry in order, with or without a pool.
+  const std::vector<double> batch = {0.05, 0.1, 0.05, 0.12, 0.1, 0.07};
+  KernelCache serial(test_ranging(), test_shape());
+  (void)serial.range(0.07);
+  std::size_t serial_built = 0;
+  for (const double d : batch) {
+    bool built = false;
+    (void)serial.range(d, &built);
+    serial_built += built ? 1 : 0;
+  }
+  const KernelCache::Stats want = serial.stats();
+  ThreadPool pool(3);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    KernelCache cache(test_ranging(), test_shape());
+    const RangeKernel* seeded = cache.range(0.07);
+    std::vector<const RangeKernel*> out(batch.size());
+    EXPECT_EQ(cache.range_many(batch, out, p), serial_built);
+    EXPECT_EQ(cache.stats().built, want.built);
+    EXPECT_EQ(cache.stats().shared, want.shared);
+    EXPECT_EQ(out[5], seeded);
+    EXPECT_EQ(out[0], out[2]);
+    EXPECT_EQ(out[1], out[4]);
+    for (std::size_t k = 0; k < batch.size(); ++k) {
+      EXPECT_EQ(out[k], cache.range(batch[k]));
+      EXPECT_EQ(out[k]->stamp_count(), serial.range(batch[k])->stamp_count());
+    }
+  }
+}
+
 TEST(KernelCache, RunClippingStaysInsideGrid) {
   const GridShape shape = test_shape();
   const RangeKernel k =
