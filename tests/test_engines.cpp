@@ -491,6 +491,88 @@ TEST(GridBncl, SyncQuorumHoldsMatchGoldenDigests) {
 #endif
 }
 
+// The pyramid path (pyramid_levels > 1): level switches, partial ROI boxes
+// bounding every dense op, and the capped publish. Digests captured from the
+// engine that still staged each Jacobi update in a separate store and
+// committed it after the sweep; updating beliefs in place must reproduce
+// them bit for bit.
+TEST(GridBncl, PyramidMatchesGoldenDigests) {
+#if !defined(__x86_64__) || defined(__FMA__)
+  GTEST_SKIP() << "golden digests are recorded for baseline x86-64 builds";
+#else
+  struct Golden {
+    simd::Mode mode;
+    std::uint64_t l2, l3, l2_side96, gauss_seidel, async;
+  };
+  const Golden goldens[] = {
+      {simd::Mode::scalar, 0xc3433f60baf8ab16ULL, 0x1d2584ba47ea66cbULL,
+       0x08a1ebe37389e2edULL, 0xaf06f55661e1b5f2ULL, 0x31d70f37796ae1ebULL},
+      {simd::Mode::sse2, 0xa0663a4b39434bc0ULL, 0xea1206c260146afcULL,
+       0x0ce6a54acf360318ULL, 0x404ba14ae25fa94aULL, 0x0c2574687a548a77ULL},
+      {simd::Mode::avx2, 0x5e7729fb8b7c7139ULL, 0xc05e76b2317a9cb1ULL,
+       0x627969b0b5f3304bULL, 0xc67a634f39e5663eULL, 0xf354da5ffb1c8330ULL},
+  };
+  const Scenario s = build_scenario(default_config(40));
+  ScenarioConfig fcfg = default_config(41);
+  fcfg.faults.crash_fraction = 0.1;
+  fcfg.faults.outlier_fraction = 0.15;
+  const Scenario sf = build_scenario(fcfg);
+
+  GridBnclConfig l2;
+  l2.pyramid_levels = 2;
+  GridBnclConfig l3 = l2;
+  l3.pyramid_levels = 3;
+  GridBnclConfig l2_side96 = l2;
+  l2_side96.grid_side = 96;
+  GridBnclConfig gauss_seidel = l2;
+  gauss_seidel.schedule = UpdateSchedule::gauss_seidel;
+  GridBnclConfig async = l2;
+  async.transport.async = true;
+  async.transport.radio.loss = 0.1;
+  async.robustness.stale_ttl = 4;
+  async.robustness.update_quorum = 0.5;
+
+  // The run's digest, and whether some level bounded its dense work by a
+  // partial ROI (else the legs would not exercise the pyramid's boxes).
+  const auto run = [](const Scenario& sc, GridBnclConfig cfg,
+                      std::size_t threads) {
+    cfg.threads = threads;
+    obs::Telemetry sink;
+    LocalizationResult r;
+    {
+      const obs::TelemetryScope scope(&sink);
+      Rng rng(9);
+      r = GridBncl(cfg).localize(sc, rng);
+    }
+    const std::size_t side = cfg.grid_side;
+    const bool partial = sink.registry.counter("grid.pyramid.l1.roi_cells") <
+                         sc.node_count() * side * side;
+    return std::pair{result_digest(r), partial};
+  };
+
+  const simd::Mode session_mode = simd::active_mode();
+  std::size_t modes_checked = 0;
+  for (const Golden& g : goldens) {
+    simd::set_mode(g.mode);
+    if (simd::active_mode() != g.mode) continue;  // CPU lacks this mode
+    SCOPED_TRACE(simd::active_name());
+    ++modes_checked;
+    for (const std::size_t threads : {1u, 0u}) {  // 0: the default
+      SCOPED_TRACE(threads);
+      const auto [l2_digest, l2_partial] = run(s, l2, threads);
+      EXPECT_TRUE(l2_partial);
+      EXPECT_EQ(l2_digest, g.l2) << "levels 2";
+      EXPECT_EQ(run(s, l3, threads).first, g.l3) << "levels 3";
+      EXPECT_EQ(run(s, l2_side96, threads).first, g.l2_side96)
+          << "levels 2, grid 96";
+      EXPECT_EQ(run(sf, async, threads).first, g.async) << "async";
+    }
+    EXPECT_EQ(run(s, gauss_seidel, 1).first, g.gauss_seidel) << "gauss-seidel";
+  }
+  simd::set_mode(session_mode);
+  EXPECT_GE(modes_checked, 1u);
+#endif
+}
 
 // The degradation ladder under both transports, with reboots: a sync leg
 // (loss, a short TTL, a quorum gate that holds) and an async leg (per-attempt
