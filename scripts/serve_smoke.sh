@@ -36,10 +36,21 @@ python3 scripts/validate_serve_output.py --expect-match "$TMP/out.jsonl" \
   "$TMP/batch.json" "$TMP/out2.jsonl"
 
 # 3. A failing request must produce an ok=false line, not a dead batch.
+# Besides a scenario the validator rejects, the batch carries radio values
+# the radios cannot run (a certain sync packet loss, a certain async
+# per-attempt loss): each must come back ok=false naming its field while
+# every other request is served.
 python3 - "$TMP/batch.json" "$TMP/bad.json" << 'EOF'
-import json, sys
+import copy, json, sys
 batch = json.load(open(sys.argv[1]))
-batch["requests"][1]["scenario"]["nodes"] = 1  # validation failure
+requests = batch["requests"]
+requests[1]["scenario"]["nodes"] = 1  # validation failure
+for rid, knobs in (("bad-packet-loss", {"packet_loss": 1.0}),
+                   ("bad-async-loss", {"async": True, "loss": 1.0})):
+    bad = copy.deepcopy(requests[0])
+    bad["id"] = rid
+    bad["engine_config"].update(knobs)
+    requests.append(bad)
 json.dump(batch, open(sys.argv[2], "w"))
 EOF
 if "$SERVE" --quiet "$TMP/bad.json" > "$TMP/out-bad.jsonl"; then
@@ -48,6 +59,23 @@ if "$SERVE" --quiet "$TMP/bad.json" > "$TMP/out-bad.jsonl"; then
 fi
 python3 scripts/validate_serve_output.py --allow-failures "$TMP/bad.json" \
   "$TMP/out-bad.jsonl"
+python3 - "$TMP/bad.json" "$TMP/out-bad.jsonl" << 'EOF'
+import json, sys
+requests = json.load(open(sys.argv[1]))["requests"]
+lines = [json.loads(l) for l in open(sys.argv[2]) if l.strip()]
+want = {requests[1]["id"]: "node_count",
+        "bad-packet-loss": "packet_loss",
+        "bad-async-loss": "loss must be"}
+if len(lines) != len(requests):
+    sys.exit(f"serve_smoke: {len(lines)} lines for {len(requests)} requests")
+for line in lines:
+    field = want.get(line["id"])
+    if field is None and not line["ok"]:
+        sys.exit(f"serve_smoke: {line['id']} failed: {line.get('error')}")
+    if field is not None and (line["ok"] or field not in line["error"]):
+        sys.exit(f"serve_smoke: {line['id']} should fail naming {field}: "
+                 f"{line}")
+EOF
 
 # 4. Observability surface: one batch -> Prometheus exposition + Perfetto
 # trace; the same batch twice (--repeat 2) -> every integer event counter

@@ -15,7 +15,7 @@ namespace bnloc {
 std::string GaussianBncl::config_error(const GaussianBnclConfig& config) {
   if (!(config.damping >= 0.0 && config.damping < 1.0))
     return "damping must be in [0, 1)";
-  return {};
+  return radio_config_error(config.transport, config.iteration);
 }
 
 GaussianBncl::GaussianBncl(GaussianBnclConfig config) : config_(config) {
@@ -76,7 +76,6 @@ LocalizationResult GaussianBncl::localize(const Scenario& scenario,
   constexpr std::size_t kPayloadBytes = 20;
   const auto usable = [](const Gaussian2* src) { return src != nullptr; };
 
-  std::vector<Gaussian2> staged = belief;
   std::vector<std::optional<Vec2>> traced_estimates;  // tracing only
   // Work counter: range factors folded into an information accumulator —
   // this engine's unit of useful work, the analogue of grid.cell_visits
@@ -90,7 +89,6 @@ LocalizationResult GaussianBncl::localize(const Scenario& scenario,
     // is gone).
     proto.begin_round([&](std::size_t r) {
       belief[r] = prior[r];
-      staged[r] = prior[r];
       proto.cur[r] = prior[r];
       proto.prev[r] = prior[r];
     });
@@ -109,10 +107,7 @@ LocalizationResult GaussianBncl::localize(const Scenario& scenario,
       if (proto.crashed(i)) continue;  // dead nodes stop computing too
       // Quorum hold: keep the previous estimate rather than follow the
       // skewed remainder of a mostly-unreachable neighborhood.
-      if (proto.should_hold(i, usable)) {
-        staged[i] = belief[i];
-        continue;
-      }
+      if (proto.should_hold(i, usable)) continue;
 
       const auto nbs = scenario.graph.neighbors(i);
       InfoAccumulator acc(prior[i]);
@@ -145,10 +140,10 @@ LocalizationResult GaussianBncl::localize(const Scenario& scenario,
       max_motion = std::max(max_motion, motion);
       sum_motion += motion;
       ++unknowns;
-      staged[i] = post;
+      // In place: the update reads only published summaries and node i's
+      // own belief (DESIGN.md §8), so no later node sees this write.
+      belief[i] = post;
     }
-    for (std::size_t i = 0; i < n; ++i)
-      if (!acts_anchor[i] && !proto.crashed(i)) belief[i] = staged[i];
     proto.end_round();
 
     const double mean_motion =

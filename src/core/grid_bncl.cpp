@@ -30,7 +30,7 @@ std::string GridBncl::config_error(const GridBnclConfig& config) {
   if (!(config.robustness.update_quorum >= 0.0 &&
         config.robustness.update_quorum <= 1.0))
     return "update_quorum must be in [0, 1]";
-  return {};
+  return radio_config_error(config.transport, config.iteration);
 }
 
 GridBncl::GridBncl(GridBnclConfig config) : config_(std::move(config)) {
@@ -145,8 +145,8 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
 
   // --- Graph-shaped precomputes (resolution-independent) ------------------
   // Node-parallel work: every node-scaled loop below (level switch, kernel
-  // construction, publish decisions, the Jacobi update, commit, estimates)
-  // reads shared state and writes only its own node's slots, so it splits
+  // construction, publish decisions, the Jacobi update, estimates) reads
+  // shared state and writes only its own node's slots, so it splits
   // across this thread and a pool of one worker fewer than the configured
   // thread count. No pool when Gauss-Seidel (order-dependent by
   // definition), when threads == 1, or when this solve already runs on a
@@ -252,7 +252,7 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
 
     // --- Belief state at this level ---------------------------------------
     // Flat SoA arenas: node i's mass is a contiguous slice of one buffer per
-    // role (current / staged / prior / last-published), not its own vector.
+    // role (current / prior / last-published), not its own vector.
     //
     // Level switch (lvl > 0) — restart semantics. Every node's belief is
     // resampled to the new resolution (mass-conserving) but only to *locate*
@@ -356,11 +356,6 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
     }
     BeliefStore& belief = *belief_opt;
     BeliefStore& last_pub_dense = *last_pub_opt;
-    BeliefStore staged(shape, n, uninit);  // Jacobi double buffer
-    parallel_for_chunks(pool, n, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i)
-        copy_belief(belief[i], staged[i]);
-    });
 
     // --- Precomputed kernels per directed CSR slot ------------------------
     // Kernels are pure functions of the measured distance (the spec and
@@ -459,7 +454,6 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
       // neighbors then relay their newest summary to it (async).
       proto.begin_round([&](std::size_t r) {
         copy_belief(prior_grid[r], belief[r]);
-        copy_belief(prior_grid[r], staged[r]);
         const std::span<double> lp = last_pub_dense[r];
         std::fill(lp.begin(), lp.end(), 0.0);
         ever_published[r] = 0;
@@ -525,17 +519,17 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
       }
 
       // Update phase: rebuild each unknown's belief from its prior and the
-      // currently-visible neighbor summaries. Jacobi writes into a staging
-      // buffer (order-independent, the honest distributed semantics);
-      // Gauss-Seidel commits each node's belief and published summary
-      // immediately so later nodes in the round already see it.
+      // currently-visible neighbor summaries, in place. A node's update
+      // reads only published summaries and its own belief (DESIGN.md §8),
+      // so writing belief[i] is invisible to every other node's update:
+      // Jacobi stays order-independent, the honest distributed semantics.
+      // Gauss-Seidel also republishes each node's summary immediately so
+      // later nodes in the round already see it.
       const bool gauss_seidel =
           config_.schedule == UpdateSchedule::gauss_seidel;
-      // Gauss-Seidel commit: later nodes in the sweep already see this
-      // node's updated belief and summary (a centralized sweep has no extra
-      // broadcast; traffic is not re-metered). Serial schedule only.
-      const auto commit_gs = [&](std::size_t i, std::span<const double> next) {
-        beliefops::copy_in(next, belief[i], side, roi[i]);
+      // Gauss-Seidel republish (a centralized sweep has no extra broadcast;
+      // traffic is not re-metered). Serial schedule only.
+      const auto republish_gs = [&](std::size_t i) {
         beliefops::sparsify_in(belief[i], side, roi[i], config_.support_mass,
                                pub_cap, sp_scratch,
                                order_scratch);
@@ -544,14 +538,16 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
           ever_published[i] = 1;
         }
       };
-      const auto update_node = [&](std::size_t i,
-                                   std::vector<double>& scratch) {
+      // `next` is per-chunk scratch: the `_in` ops touch only the box rows,
+      // and a full box is overwritten by the prior copy first, so what an
+      // earlier node left outside this node's ROI is never read.
+      const auto update_node = [&](std::size_t i, std::span<double> scratch,
+                                   std::span<double> next) {
         if (acts_anchor[i]) return;
         if (proto.crashed(i)) return;  // dead nodes stop computing too
         // Quorum hold: with most of the neighborhood unreachable, keep the
         // previous belief rather than integrate the skewed remainder.
         if (proto.should_hold(i, usable)) return;
-        const std::span<double> next = staged[i];
         const auto nbs = scenario.graph.neighbors(i);
         const CellBox& box = roi[i];
         const std::uint64_t box_cells =
@@ -601,7 +597,8 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
         node_change[i] =
             beliefops::total_variation_in(next, belief[i], side, box);
         node_cell_visits[i] += 2 * box_cells;  // mix + residual
-        if (gauss_seidel) commit_gs(i, next);
+        beliefops::copy_in(next, belief[i], side, box);
+        if (gauss_seidel) republish_gs(i);
       };
 
       std::fill(node_change.begin(), node_change.end(), -1.0);
@@ -614,8 +611,9 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
         const obs::Span update_span("grid.update");
         // Gauss-Seidel never has a pool: one in-order chunk.
         parallel_for_chunks(pool, n, [&](std::size_t begin, std::size_t end) {
-          std::vector<double> scratch(cells);
-          for (std::size_t i = begin; i < end; ++i) update_node(i, scratch);
+          std::vector<double> scratch(cells), next(cells);
+          for (std::size_t i = begin; i < end; ++i)
+            update_node(i, scratch, next);
         });
       }
 
@@ -637,15 +635,6 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
       obs::count("grid.kernel_cells", kernel_cells);
       obs::count(lvl_visits_name, cell_visits);
       proto.end_round();
-      if (!gauss_seidel) {
-        const obs::Span commit_span("grid.commit");
-        const auto commit_chunk = [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i)
-            if (!acts_anchor[i] && !proto.crashed(i) && !proto.held(i))
-              beliefops::copy_in(staged[i], belief[i], side, roi[i]);
-        };
-        parallel_for_chunks(pool, n, commit_chunk);
-      }
 
       const double mean_change =
           changed_nodes ? sum_change / static_cast<double>(changed_nodes)

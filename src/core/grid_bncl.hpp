@@ -133,11 +133,11 @@ struct GridBnclConfig {
   /// calling thread included: it takes part alongside a per-localize()
   /// pool of `threads - 1` workers. Every node-scaled loop splits across
   /// them: the level switch (prior rasterize, upsample, ROI, summary
-  /// translation, staged copy), the level's kernel construction, the
-  /// publish phase's decide/sparsify pass, the Jacobi belief update
-  /// (including the negative-evidence messages), the staged→current
-  /// commit and the estimates. All are independent across nodes — each reads the
-  /// round-start summaries and writes only its own slots — and the
+  /// translation), the level's kernel construction, the publish phase's
+  /// decide/sparsify pass, the Jacobi belief update (including the
+  /// negative-evidence messages) and the estimates. All are independent
+  /// across nodes — each reads the round-start summaries and its own
+  /// belief, and writes only its own slots — and the
   /// order-sensitive effects (publish sequence numbers, metered radio
   /// traffic) are committed by a serial second pass in node order, so any
   /// thread count yields bit-identical results. 0 (default) selects half

@@ -28,7 +28,7 @@ std::string ParticleBncl::config_error(const ParticleBnclConfig& config) {
   if (config.message_subsample < 1) return "message_subsample must be >= 1";
   if (!(config.prior_refresh_fraction + config.ring_refresh_fraction < 1.0))
     return "refresh fractions must leave room for surviving particles";
-  return {};
+  return radio_config_error(config.transport, config.iteration);
 }
 
 ParticleBncl::ParticleBncl(ParticleBnclConfig config) : config_(config) {

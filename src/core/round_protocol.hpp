@@ -247,10 +247,6 @@ class RoundProtocol {
     return g.held != 0;
   }
 
-  [[nodiscard]] bool held(std::size_t i) const noexcept {
-    return !gate_.empty() && gate_[i].held != 0;
-  }
-
   /// Fold this round's holds (serial) and count them. A round with holds
   /// never counts as converged: held nodes report no change because the
   /// network is too degraded to update them, not because they settled.

@@ -34,10 +34,19 @@ std::vector<std::size_t> Scenario::unknown_indices() const {
   return out;
 }
 
+std::string scenario_config_error(const ScenarioConfig& config) {
+  if (config.node_count < 2) return "node_count must be >= 2";
+  if (!(config.anchor_fraction >= 0.0 && config.anchor_fraction <= 1.0))
+    return "anchor_fraction must be in [0, 1]";
+  if (!(config.radio.range > 0.0)) return "radio.range must be > 0";
+  if (!(config.radio.ranging.noise_factor >= 0.0))
+    return "radio.ranging.noise_factor must be >= 0";
+  return {};
+}
+
 Scenario build_scenario(const ScenarioConfig& config) {
-  BNLOC_ASSERT(config.node_count >= 2, "scenario needs at least two nodes");
-  BNLOC_ASSERT(config.anchor_fraction >= 0.0 && config.anchor_fraction <= 1.0,
-               "anchor fraction out of range");
+  const std::string error = scenario_config_error(config);
+  BNLOC_ASSERT(error.empty(), error.c_str());
   Rng rng(config.seed);
   Rng deploy_rng = rng.split(0xdeb107);
   Rng anchor_rng = rng.split(0xa2c408);

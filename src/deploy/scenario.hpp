@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "deploy/anchors.hpp"
@@ -75,6 +76,10 @@ struct Scenario {
   [[nodiscard]] std::vector<std::size_t> anchor_indices() const;
   [[nodiscard]] std::vector<std::size_t> unknown_indices() const;
 };
+
+/// Why `config` cannot be built (empty when it can), naming the broken
+/// field. build_scenario asserts on it; serve::validate reports it.
+[[nodiscard]] std::string scenario_config_error(const ScenarioConfig& config);
 
 /// Build a scenario deterministically from a config (same config + seed ->
 /// identical scenario, including link noise).

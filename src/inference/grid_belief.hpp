@@ -217,10 +217,10 @@ void sparsify_in(std::span<const double> mass, std::size_t side,
 }  // namespace beliefops
 
 /// Flat SoA arena for `count` same-shape beliefs: one contiguous buffer,
-/// belief i at [i*cells, (i+1)*cells). The grid engine keeps its four
-/// per-node belief sets (current, staged, prior, last-published) in stores
-/// instead of vectors of GridBelief, so a 200-node run touches four
-/// allocations instead of eight hundred.
+/// belief i at [i*cells, (i+1)*cells). The grid engine keeps its three
+/// per-node belief sets (current, prior, last-published) in stores instead
+/// of vectors of GridBelief, so a 200-node run touches three allocations
+/// instead of six hundred.
 class BeliefStore {
  public:
   /// Every slice zero.

@@ -20,6 +20,27 @@ std::uint64_t pair_key(std::size_t from, std::size_t to, std::size_t n) {
 
 }  // namespace
 
+std::string AsyncRadio::config_error(const AsyncRadioConfig& config) {
+  if (!(config.loss >= 0.0 && config.loss < 1.0))
+    return "loss must be in [0, 1)";
+  // A negative ack_loss means "same as loss", which is checked above.
+  if (!(config.ack_loss < 1.0))
+    return "ack_loss must be < 1 (negative: same as loss)";
+  if (!(config.latency >= 0.0)) return "latency must be >= 0";
+  if (!(config.latency_jitter >= 0.0)) return "latency_jitter must be >= 0";
+  if (!(config.duty_cycle > 0.0 && config.duty_cycle <= 1.0))
+    return "duty_cycle must be in (0, 1]";
+  if (!(config.clock_skew >= 0.0 && config.clock_skew < 1.0))
+    return "clock_skew must be in [0, 1)";
+  if (!(config.backoff_base > 0.0)) return "backoff_base must be > 0";
+  if (!(config.backoff_factor >= 1.0)) return "backoff_factor must be >= 1";
+  if (!(config.backoff_cap >= config.backoff_base))
+    return "backoff_cap must be >= backoff_base";
+  if (config.flap_rate > 0.0 && !(config.flap_downtime > 0.0))
+    return "flap_downtime must be > 0";
+  return {};
+}
+
 AsyncRadio::AsyncRadio(const Graph& graph, const AsyncRadioConfig& config,
                        Rng rng, std::span<const std::size_t> death_rounds,
                        std::span<const std::size_t> reboot_rounds)
@@ -28,20 +49,9 @@ AsyncRadio::AsyncRadio(const Graph& graph, const AsyncRadioConfig& config,
       rng_(rng),
       death_rounds_(death_rounds.begin(), death_rounds.end()),
       reboot_rounds_(reboot_rounds.begin(), reboot_rounds.end()) {
-  BNLOC_ASSERT(cfg_.loss >= 0.0 && cfg_.loss < 1.0,
-               "loss probability out of range");
+  const std::string error = config_error(cfg_);
+  BNLOC_ASSERT(error.empty(), error.c_str());
   ack_loss_ = cfg_.ack_loss < 0.0 ? cfg_.loss : cfg_.ack_loss;
-  BNLOC_ASSERT(ack_loss_ >= 0.0 && ack_loss_ < 1.0,
-               "ack loss probability out of range");
-  BNLOC_ASSERT(cfg_.latency >= 0.0 && cfg_.latency_jitter >= 0.0,
-               "latency parameters out of range");
-  BNLOC_ASSERT(cfg_.duty_cycle > 0.0 && cfg_.duty_cycle <= 1.0,
-               "duty cycle must be in (0, 1]");
-  BNLOC_ASSERT(cfg_.clock_skew >= 0.0 && cfg_.clock_skew < 1.0,
-               "clock skew must be in [0, 1)");
-  BNLOC_ASSERT(cfg_.backoff_base > 0.0 && cfg_.backoff_factor >= 1.0 &&
-                   cfg_.backoff_cap >= cfg_.backoff_base,
-               "backoff ladder misconfigured");
   const std::size_t n = graph.node_count();
   BNLOC_ASSERT(death_rounds_.empty() || death_rounds_.size() == n,
                "death schedule size mismatch");
@@ -99,7 +109,6 @@ AsyncRadio::AsyncRadio(const Graph& graph, const AsyncRadioConfig& config,
 
   // Seed the churn process: one pending link_down per undirected link.
   if (cfg_.flap_rate > 0.0) {
-    BNLOC_ASSERT(cfg_.flap_downtime > 0.0, "flap downtime must be positive");
     for (std::uint32_t link = 0;
          link < static_cast<std::uint32_t>(link_up_.size()); ++link) {
       Event e;

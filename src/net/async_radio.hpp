@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <queue>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -124,6 +125,11 @@ class AsyncRadio {
   AsyncRadio(const Graph& graph, const AsyncRadioConfig& config, Rng rng,
              std::span<const std::size_t> death_rounds = {},
              std::span<const std::size_t> reboot_rounds = {});
+
+  /// Why `config` cannot drive a radio (empty when it can), naming the
+  /// broken field. The constructor asserts on it; engine configs report it
+  /// before building one.
+  [[nodiscard]] static std::string config_error(const AsyncRadioConfig& config);
 
   /// Advance the virtual clock by one round and drain every event due by
   /// its end: attempts transmit (or fail and re-queue), deliveries land,

@@ -5,6 +5,11 @@
 
 namespace bnloc {
 
+std::string SyncRadio::config_error(double loss) {
+  if (!(loss >= 0.0 && loss < 1.0)) return "packet_loss must be in [0, 1)";
+  return {};
+}
+
 SyncRadio::SyncRadio(const Graph& graph, double loss, Rng rng,
                      std::span<const std::size_t> death_rounds,
                      std::span<const std::size_t> reboot_rounds)
@@ -13,7 +18,8 @@ SyncRadio::SyncRadio(const Graph& graph, double loss, Rng rng,
       rng_(rng),
       death_rounds_(death_rounds.begin(), death_rounds.end()),
       reboot_rounds_(reboot_rounds.begin(), reboot_rounds.end()) {
-  BNLOC_ASSERT(loss >= 0.0 && loss < 1.0, "loss probability out of range");
+  const std::string error = config_error(loss);
+  BNLOC_ASSERT(error.empty(), error.c_str());
   BNLOC_ASSERT(death_rounds_.empty() ||
                    death_rounds_.size() == graph.node_count(),
                "death schedule size mismatch");

@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -40,6 +41,11 @@ class SyncRadio {
   SyncRadio(const Graph& graph, double loss, Rng rng,
             std::span<const std::size_t> death_rounds = {},
             std::span<const std::size_t> reboot_rounds = {});
+
+  /// Why `loss` cannot drive a radio (empty when it can), naming the engine
+  /// field it comes from (IterationConfig::packet_loss). The constructor
+  /// asserts on it; engine configs report it before building one.
+  [[nodiscard]] static std::string config_error(double loss);
 
   /// Start a new round; re-draws the loss process for every directed link.
   void begin_round();

@@ -25,13 +25,8 @@ bool engine_kind_from(std::string_view name, EngineKind& out) {
 }
 
 std::string validate(const ServeRequest& request) {
-  const ScenarioConfig& s = request.scenario;
-  if (s.node_count < 2) return "scenario.nodes must be >= 2";
-  if (s.anchor_fraction < 0.0 || s.anchor_fraction > 1.0)
-    return "scenario.anchor_fraction must be in [0, 1]";
-  if (s.radio.range <= 0.0) return "scenario.radio_range must be > 0";
-  if (s.radio.ranging.noise_factor < 0.0)
-    return "scenario.noise must be >= 0";
+  const std::string scenario_error = scenario_config_error(request.scenario);
+  if (!scenario_error.empty()) return "scenario: " + scenario_error;
   std::string engine_error;
   switch (request.engine) {
     case EngineKind::grid:

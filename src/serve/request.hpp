@@ -69,7 +69,7 @@ struct ServeResponse {
 };
 
 /// Validate the parts of a request the engines would otherwise choke on:
-/// the scenario ranges, then the selected engine's own config_error().
+/// scenario_config_error(), then the selected engine's own config_error().
 /// Returns an empty string when valid, else the reason.
 [[nodiscard]] std::string validate(const ServeRequest& request);
 

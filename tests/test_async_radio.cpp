@@ -48,6 +48,54 @@ AsyncRadioConfig hostile_config() {
   return cfg;
 }
 
+TEST(AsyncRadio, ConfigErrorNamesTheBrokenField) {
+  const auto error = [](auto&& mutate) {
+    AsyncRadioConfig cfg;
+    mutate(cfg);
+    return AsyncRadio::config_error(cfg);
+  };
+  EXPECT_EQ(error([](AsyncRadioConfig&) {}), "");
+  EXPECT_EQ(error([](AsyncRadioConfig& c) { c.loss = 1.0; }),
+            "loss must be in [0, 1)");
+  EXPECT_EQ(error([](AsyncRadioConfig& c) { c.loss = -0.1; }),
+            "loss must be in [0, 1)");
+  EXPECT_EQ(error([](AsyncRadioConfig& c) { c.ack_loss = 1.0; }),
+            "ack_loss must be < 1 (negative: same as loss)");
+  EXPECT_EQ(error([](AsyncRadioConfig& c) { c.latency = -1.0; }),
+            "latency must be >= 0");
+  EXPECT_EQ(error([](AsyncRadioConfig& c) { c.latency_jitter = -1.0; }),
+            "latency_jitter must be >= 0");
+  EXPECT_EQ(error([](AsyncRadioConfig& c) { c.duty_cycle = 0.0; }),
+            "duty_cycle must be in (0, 1]");
+  EXPECT_EQ(error([](AsyncRadioConfig& c) { c.clock_skew = 1.0; }),
+            "clock_skew must be in [0, 1)");
+  EXPECT_EQ(error([](AsyncRadioConfig& c) { c.backoff_base = 0.0; }),
+            "backoff_base must be > 0");
+  EXPECT_EQ(error([](AsyncRadioConfig& c) { c.backoff_factor = 0.5; }),
+            "backoff_factor must be >= 1");
+  EXPECT_EQ(error([](AsyncRadioConfig& c) { c.backoff_cap = 0.1; }),
+            "backoff_cap must be >= backoff_base");
+  EXPECT_EQ(error([](AsyncRadioConfig& c) {
+              c.flap_rate = 0.1;
+              c.flap_downtime = 0.0;
+            }),
+            "flap_downtime must be > 0");
+
+  // Every boundary value is itself legal.
+  EXPECT_EQ(error([](AsyncRadioConfig& c) {
+              c.loss = 0.0;
+              c.ack_loss = 0.999;
+              c.latency = 0.0;
+              c.latency_jitter = 0.0;
+              c.duty_cycle = 1.0;
+              c.clock_skew = 0.0;
+              c.backoff_factor = 1.0;
+              c.backoff_cap = c.backoff_base;
+              c.flap_downtime = 0.0;  // unread while flap_rate is 0
+            }),
+            "");
+}
+
 TEST(AsyncRadio, LosslessBroadcastReachesEveryNeighborNextRound) {
   const Graph g = triangle();
   AsyncRadioConfig cfg;

@@ -125,6 +125,13 @@ TEST(EngineConfig, GridConfigErrorNamesTheBrokenField) {
               c.robustness.update_quorum = std::nan("");
             }),
             "update_quorum must be in [0, 1]");
+  EXPECT_EQ(error([](GridBnclConfig& c) { c.iteration.packet_loss = 1.0; }),
+            "packet_loss must be in [0, 1)");
+  EXPECT_EQ(error([](GridBnclConfig& c) {
+              c.transport.async = true;
+              c.transport.radio.loss = 1.0;
+            }),
+            "loss must be in [0, 1)");
 
   // Every boundary value is itself legal.
   EXPECT_EQ(error([](GridBnclConfig& c) {
@@ -153,6 +160,15 @@ TEST(EngineConfig, ParticleConfigErrorNamesTheBrokenField) {
             }),
             "refresh fractions must leave room for surviving particles");
   EXPECT_EQ(error([](ParticleBnclConfig& c) {
+              c.iteration.packet_loss = -0.5;
+            }),
+            "packet_loss must be in [0, 1)");
+  EXPECT_EQ(error([](ParticleBnclConfig& c) {
+              c.transport.async = true;
+              c.transport.radio.latency = -1.0;
+            }),
+            "latency must be >= 0");
+  EXPECT_EQ(error([](ParticleBnclConfig& c) {
               c.particle_count = 8;
               c.message_subsample = 1;
             }),
@@ -167,6 +183,13 @@ TEST(EngineConfig, GaussianConfigErrorNamesTheBrokenField) {
   EXPECT_EQ(GaussianBncl::config_error(cfg), "damping must be in [0, 1)");
   cfg.damping = 0.0;
   EXPECT_EQ(GaussianBncl::config_error(cfg), "");
+  cfg.iteration.packet_loss = 1.0;
+  EXPECT_EQ(GaussianBncl::config_error(cfg), "packet_loss must be in [0, 1)");
+  // Under async the sync knob is never read; the link layer's are.
+  cfg.transport.async = true;
+  EXPECT_EQ(GaussianBncl::config_error(cfg), "");
+  cfg.transport.radio.duty_cycle = 0.0;
+  EXPECT_EQ(GaussianBncl::config_error(cfg), "duty_cycle must be in (0, 1]");
 }
 
 // The names below key experiment tables, BENCH_*.json lines, and trace

@@ -142,6 +142,39 @@ TEST(Scenario, BiasedPriorsAreShiftedByConfiguredMagnitude) {
   }
 }
 
+TEST(Scenario, ConfigErrorNamesTheBrokenField) {
+  const auto error = [](auto&& mutate) {
+    ScenarioConfig cfg;
+    mutate(cfg);
+    return scenario_config_error(cfg);
+  };
+  EXPECT_EQ(error([](ScenarioConfig& c) { c.node_count = 1; }),
+            "node_count must be >= 2");
+  EXPECT_EQ(error([](ScenarioConfig& c) { c.anchor_fraction = -0.01; }),
+            "anchor_fraction must be in [0, 1]");
+  EXPECT_EQ(error([](ScenarioConfig& c) { c.anchor_fraction = 1.01; }),
+            "anchor_fraction must be in [0, 1]");
+  EXPECT_EQ(error([](ScenarioConfig& c) { c.anchor_fraction = std::nan(""); }),
+            "anchor_fraction must be in [0, 1]");
+  EXPECT_EQ(error([](ScenarioConfig& c) { c.radio.range = 0.0; }),
+            "radio.range must be > 0");
+  EXPECT_EQ(error([](ScenarioConfig& c) { c.radio.range = std::nan(""); }),
+            "radio.range must be > 0");
+  EXPECT_EQ(
+      error([](ScenarioConfig& c) { c.radio.ranging.noise_factor = -0.01; }),
+      "radio.ranging.noise_factor must be >= 0");
+
+  // Every boundary value is itself legal.
+  EXPECT_EQ(error([](ScenarioConfig& c) {
+              c.node_count = 2;
+              c.anchor_fraction = 0.0;
+              c.radio.ranging.noise_factor = 0.0;
+            }),
+            "");
+  EXPECT_EQ(error([](ScenarioConfig& c) { c.anchor_fraction = 1.0; }), "");
+  EXPECT_EQ(error([](ScenarioConfig& c) { c.radio.range = 1e-9; }), "");
+}
+
 TEST(Scenario, ToStringPriorQuality) {
   EXPECT_STREQ(to_string(PriorQuality::none), "none");
   EXPECT_STREQ(to_string(PriorQuality::exact), "exact");

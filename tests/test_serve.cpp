@@ -323,7 +323,7 @@ TEST(BatchService, InvalidRequestsEmitFailureLinesWithoutStoppingTheBatch) {
   EXPECT_EQ(streamed, 3u);
   EXPECT_TRUE(responses[0].ok);
   EXPECT_FALSE(responses[1].ok);
-  EXPECT_NE(responses[1].error.find("radio_range"), std::string::npos);
+  EXPECT_NE(responses[1].error.find("radio.range"), std::string::npos);
   EXPECT_TRUE(responses[2].ok);
   EXPECT_EQ(service.last_batch().failed, 1u);
 }
@@ -455,6 +455,35 @@ TEST(ServeValidate, NegativeUpdateQuorumIsRejected) {
                            "update_quorum must be in [0, 1]");
 }
 
+// Radio values outside a radio's range: each engine builds the radio its
+// transport selects, so the sync knob is checked under sync and the async
+// link-layer knobs under async.
+TEST(ServeValidate, CertainPacketLossIsRejected) {
+  expect_rejected_in_batch("grid", R"({"packet_loss": 1.0})",
+                           "packet_loss must be in [0, 1)");
+}
+
+TEST(ServeValidate, NegativePacketLossIsRejected) {
+  expect_rejected_in_batch("gauss", R"({"packet_loss": -0.5})",
+                           "packet_loss must be in [0, 1)");
+}
+
+TEST(ServeValidate, CertainAsyncLossIsRejected) {
+  expect_rejected_in_batch("grid", R"({"async": true, "loss": 1.0})",
+                           "loss must be in [0, 1)");
+}
+
+TEST(ServeValidate, NegativeAsyncLatencyIsRejected) {
+  expect_rejected_in_batch("particle", R"({"async": true, "latency": -1})",
+                           "latency must be >= 0");
+}
+
+TEST(ServeValidate, ScenarioErrorsCarryTheScenarioPrefix) {
+  ServeRequest req = tiny_request("t", "scenario", 1);
+  req.scenario.node_count = 1;
+  EXPECT_EQ(validate(req), "scenario: node_count must be >= 2");
+}
+
 TEST(ServeValidate, EngineBoundaryValuesAreAccepted) {
   ServeRequest req = tiny_request("t", "edge", 1);
   req.grid.grid_side = 8;
@@ -464,6 +493,14 @@ TEST(ServeValidate, EngineBoundaryValuesAreAccepted) {
   EXPECT_EQ(validate(req), "");
   req.engine = EngineKind::particle;
   req.particle.particle_count = 8;
+  EXPECT_EQ(validate(req), "");
+  // Radio knobs belong to the transport actually built: sync loss just
+  // below 1 is legal, and async ignores the sync knob altogether.
+  req.particle.iteration.packet_loss = 0.99;
+  EXPECT_EQ(validate(req), "");
+  req.particle.iteration.packet_loss = 1.0;
+  req.particle.transport.async = true;
+  req.particle.transport.radio.latency = 0.0;
   EXPECT_EQ(validate(req), "");
 }
 

@@ -16,6 +16,13 @@ Graph triangle() {
   return Graph(3, edges);
 }
 
+TEST(SyncRadio, ConfigErrorBoundsTheLossProbability) {
+  EXPECT_EQ(SyncRadio::config_error(0.0), "");
+  EXPECT_EQ(SyncRadio::config_error(0.999), "");
+  EXPECT_EQ(SyncRadio::config_error(1.0), "packet_loss must be in [0, 1)");
+  EXPECT_EQ(SyncRadio::config_error(-0.5), "packet_loss must be in [0, 1)");
+}
+
 TEST(SyncRadio, LosslessDeliversEverything) {
   const Graph g = triangle();
   SyncRadio radio(g, 0.0, Rng(1));
