@@ -264,7 +264,7 @@ int main() {
     std::printf("C: whole engine (\"grid.rounds\" phase), %zu trials\n",
                 bc.trials);
     AsciiTable t({"rounds ms/tr", "msgs computed/tr", "cell visits/tr",
-                  "kernel cells/tr"});
+                  "kernel cells/tr", "update MB/tr"});
     t.add_row(
         {AsciiTable::fmt(rounds_seconds_per_trial(rt, bc.trials) * 1e3, 1),
          AsciiTable::fmt(
@@ -276,7 +276,10 @@ int main() {
              0),
          AsciiTable::fmt(
              static_cast<double>(reg.counter("grid.kernel_cells")) / per_trial,
-             0)});
+             0),
+         AsciiTable::fmt(static_cast<double>(reg.counter("grid.update_bytes")) /
+                             per_trial * 1e-6,
+                         1)});
     t.print(std::cout);
     std::printf("kernels: %llu built, %llu shared\n",
                 static_cast<unsigned long long>(

@@ -68,6 +68,13 @@ constexpr double kRoiPeakFraction = 1e-6;
 /// Single-level runs keep the configured cap — bit-identical behavior.
 constexpr std::size_t kPyramidPublishCap = 64;
 
+/// Bytes one ROI cell costs each dense pass of the update, for the
+/// grid.update_bytes counter. A fold reads the product and the message and
+/// writes both (the message is cleared); a settle reads the product and the
+/// belief and writes the belief.
+constexpr std::uint64_t kFoldBytesPerCell = 4 * sizeof(double);
+constexpr std::uint64_t kSettleBytesPerCell = 3 * sizeof(double);
+
 
 /// Two-hop non-neighbor pairs for negative evidence, capped per node. Each
 /// node's list is independent of the others, so with a pool the scan splits
@@ -201,11 +208,16 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
   // Per-node message counters, summed serially after the sweep so the hot
   // loop takes no telemetry lock.
   std::vector<std::uint32_t> node_msgs_computed(n, 0);
-  // Work accounting (ROADMAP item 1's gate currency), same pattern: each
-  // dense belief op over a node's ROI charges one visit per cell touched;
-  // each computed message charges summary-cells × kernel stamps. Plain
-  // per-node accumulation — deterministic at any thread count.
+  // Work accounting (ROADMAP item 1's gate currency), same pattern: an
+  // update charges one visit per ROI cell for its prior, for each message
+  // it multiplies in, and for damping and for the residual (a logical count
+  // that predates fusing them into fewer passes, kept so cell-visit ratios
+  // stay comparable); each computed message charges summary-cells × kernel
+  // stamps. Plain per-node accumulation — deterministic at any thread count.
   std::vector<std::uint64_t> node_cell_visits(n, 0), node_kernel_cells(n, 0);
+  // Memory traffic of the update's dense ROI passes (grid.update_bytes):
+  // see kFoldBytesPerCell / kSettleBytesPerCell.
+  std::vector<std::uint64_t> node_update_bytes(n, 0);
   // Publish-phase two-pass state: pass 1 fills each node's candidate
   // summary in parallel; pass 2 commits sequence numbers and metered traffic
   // serially in node order (bit-identical at any thread count).
@@ -401,34 +413,6 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
             ? RangeKernel::make_connectivity(scenario.radio, shape)
             : RangeKernel();
 
-    // m(x) = 1 - P(link | x): cap at 1 (kernel overlap can exceed it
-    // slightly on coarse grids). Only the receiver's ROI rows are read
-    // downstream, so only they are transformed; element-wise, so the full
-    // box is bit-identical to the historical whole-buffer loop.
-    const auto neg_transform = [side](std::span<double> buf,
-                                      const CellBox& box) {
-      const std::size_t w = box.width();
-      for (std::int32_t y = box.y0; y <= box.y1; ++y) {
-        double* const row =
-            buf.data() + static_cast<std::size_t>(y) * side + box.x0;
-        for (std::size_t t = 0; t < w; ++t)
-          row[t] = std::max(0.0, 1.0 - std::min(row[t], 1.0));
-      }
-    };
-    // Clear a message buffer before a clipped replay: only the rows the
-    // replay may write (and downstream ops read) need zeroing.
-    const auto zero_in = [side](std::span<double> buf, const CellBox& box) {
-      if (box.is_full(side)) {
-        std::fill(buf.begin(), buf.end(), 0.0);
-        return;
-      }
-      for (std::int32_t y = box.y0; y <= box.y1; ++y)
-        std::fill_n(buf.begin() + static_cast<std::ptrdiff_t>(
-                                      static_cast<std::size_t>(y) * side +
-                                      static_cast<std::size_t>(box.x0)),
-                    box.width(), 0.0);
-    };
-
     // --- Level round budget -----------------------------------------------
     // Coarse levels take an equal slice of the round budget (capped so the
     // finest level always keeps the majority), and always leave at least
@@ -538,9 +522,15 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
           ever_published[i] = 1;
         }
       };
-      // `next` is per-chunk scratch: the `_in` ops touch only the box rows,
-      // and a full box is overwritten by the prior copy first, so what an
-      // earlier node left outside this node's ROI is never read.
+      // b_i ∝ p_i · ∏ m_j→i, damped toward the old belief, one dense pass
+      // per message plus one. Each message is replayed into `scratch` and
+      // folded into the running product `next` by a pass that also clears
+      // `scratch`; every replay writes only inside the box its fold clears,
+      // so the per-chunk `scratch` stays all zero between messages and
+      // nodes. `pending` is the sum the product still owes: the next fold,
+      // or the settle that damps, measures and writes belief[i], divides it
+      // out. Outside this node's ROI, `next` holds what an earlier node left
+      // there and is never read.
       const auto update_node = [&](std::size_t i, std::span<double> scratch,
                                    std::span<double> next) {
         if (acts_anchor[i]) return;
@@ -553,22 +543,30 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
         const std::uint64_t box_cells =
             static_cast<std::uint64_t>(box.cell_count());
 
-        beliefops::copy_in(prior_grid[i], next, side, box);
-        node_cell_visits[i] += box_cells;  // prior copy
+        std::span<const double> product = prior_grid[i];
+        double pending = 1.0;
+        std::uint64_t folds = 0;
+        const auto fold = [&](bool nonlink) {
+          pending = beliefops::fold_in(next, product, pending, scratch,
+                                       config_.message_floor, nonlink, side,
+                                       box);
+          product = next;
+          ++folds;
+          node_cell_visits[i] += box_cells;
+        };
+        node_cell_visits[i] += box_cells;  // prior
         for (std::size_t k = 0; k < nbs.size(); ++k) {
           const std::size_t slot = proto.slot(i, k);
           const SparseBelief* src = proto.input(i, k);
           if (!usable(src)) continue;
           const double peak =
-              link_kernel[slot]->correlate(*src, scratch, side, &box);
+              link_kernel[slot]->correlate_zeroed(*src, scratch, side, &box);
           ++node_msgs_computed[i];
           node_kernel_cells[i] +=
               static_cast<std::uint64_t>(src->cells.size()) *
               link_kernel[slot]->stamp_count();
           if (peak <= 0.0) continue;
-          node_cell_visits[i] += box_cells;
-          beliefops::multiply_in(next, scratch, config_.message_floor, side,
-                                 box);
+          fold(false);
         }
         if (config_.use_negative_evidence) {
           for (const std::size_t far : nonlinks[i]) {
@@ -581,23 +579,19 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
             const SparseBelief& src = proto.cur[far];
             // Negative evidence only pays off against a concentrated belief.
             if (src.empty() || src.covered_fraction < 0.9) continue;
-            zero_in(scratch, box);
             conn_kernel.accumulate(src, scratch, side, &box);
-            neg_transform(scratch, box);
             ++node_msgs_computed[i];
             node_kernel_cells[i] +=
                 static_cast<std::uint64_t>(src.cells.size()) *
                 conn_kernel.stamp_count();
-            node_cell_visits[i] += box_cells;
-            beliefops::multiply_in(next, scratch, config_.message_floor, side,
-                                   box);
+            fold(true);  // m(x) = 1 - P(link | x), capped at 1
           }
         }
-        beliefops::mix_in(next, belief[i], config_.damping, side, box);
-        node_change[i] =
-            beliefops::total_variation_in(next, belief[i], side, box);
-        node_cell_visits[i] += 2 * box_cells;  // mix + residual
-        beliefops::copy_in(next, belief[i], side, box);
+        node_change[i] = beliefops::settle_in(belief[i], product, pending,
+                                              config_.damping, side, box);
+        node_cell_visits[i] += 2 * box_cells;  // damping + residual
+        node_update_bytes[i] +=
+            box_cells * (kFoldBytesPerCell * folds + kSettleBytesPerCell);
         if (gauss_seidel) republish_gs(i);
       };
 
@@ -606,6 +600,8 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
       std::fill(node_cell_visits.begin(), node_cell_visits.end(),
                 std::uint64_t{0});
       std::fill(node_kernel_cells.begin(), node_kernel_cells.end(),
+                std::uint64_t{0});
+      std::fill(node_update_bytes.begin(), node_update_bytes.end(),
                 std::uint64_t{0});
       {
         const obs::Span update_span("grid.update");
@@ -620,7 +616,7 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
       double sum_change = 0.0;
       std::size_t changed_nodes = 0;
       std::uint64_t msgs_computed = 0;
-      std::uint64_t cell_visits = 0, kernel_cells = 0;
+      std::uint64_t cell_visits = 0, kernel_cells = 0, update_bytes = 0;
       for (std::size_t i = 0; i < n; ++i) {
         if (node_change[i] >= 0.0) {
           sum_change += node_change[i];
@@ -629,10 +625,12 @@ LocalizationResult GridBncl::localize(const Scenario& scenario,
         msgs_computed += node_msgs_computed[i];
         cell_visits += node_cell_visits[i];
         kernel_cells += node_kernel_cells[i];
+        update_bytes += node_update_bytes[i];
       }
       obs::count("grid.messages.computed", msgs_computed);
       obs::count("grid.cell_visits", cell_visits);
       obs::count("grid.kernel_cells", kernel_cells);
+      obs::count("grid.update_bytes", update_bytes);
       obs::count(lvl_visits_name, cell_visits);
       proto.end_round();
 

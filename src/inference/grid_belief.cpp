@@ -152,31 +152,30 @@ void set_uniform_in(std::span<double> mass, std::size_t side,
 
 }  // namespace
 
-void multiply_in(std::span<double> mass, std::span<const double> factor,
-                 double floor, std::size_t side, const CellBox& box) {
-  if (box.is_full(side)) {
-    multiply(mass, factor, floor);
-    return;
-  }
-  BNLOC_ASSERT(factor.size() == mass.size(), "factor grid shape mismatch");
-  BNLOC_ASSERT(!box.empty(), "multiply_in needs a non-empty box");
-  const std::size_t w = box.width();
+double fold_in(std::span<double> out, std::span<const double> in,
+               double pending, std::span<double> factor, double floor,
+               bool nonlink, std::size_t side, const CellBox& box) {
+  BNLOC_ASSERT(out.size() == in.size() && factor.size() == out.size(),
+               "fold grid shape mismatch");
+  BNLOC_ASSERT(!box.empty(), "fold_in needs a non-empty box");
   double total = 0.0;
-  for (std::int32_t y = box.y0; y <= box.y1; ++y) {
-    const std::size_t off = static_cast<std::size_t>(y) * side +
-                            static_cast<std::size_t>(box.x0);
-    total += simd::mul_add_floor_sum(mass.data() + off, factor.data() + off,
-                                     floor, w);
+  if (box.is_full(side)) {
+    total = simd::fold(out.data(), in.data(), pending, factor.data(), floor,
+                       nonlink, out.size());
+  } else {
+    const std::size_t w = box.width();
+    for (std::int32_t y = box.y0; y <= box.y1; ++y) {
+      const std::size_t off = static_cast<std::size_t>(y) * side +
+                              static_cast<std::size_t>(box.x0);
+      total += simd::fold(out.data() + off, in.data() + off, pending,
+                          factor.data() + off, floor, nonlink, w);
+    }
   }
   if (total <= 0.0) {
-    set_uniform_in(mass, side, box);
-    return;
+    set_uniform_in(out, side, box);
+    return 1.0;
   }
-  for (std::int32_t y = box.y0; y <= box.y1; ++y) {
-    const std::size_t off = static_cast<std::size_t>(y) * side +
-                            static_cast<std::size_t>(box.x0);
-    simd::div_all(mass.data() + off, total, w);
-  }
+  return total;
 }
 
 void normalize_in(std::span<double> mass, std::size_t side,
@@ -201,18 +200,22 @@ void normalize_in(std::span<double> mass, std::size_t side,
                   total, w);
 }
 
-void mix_in(std::span<double> mass, std::span<const double> previous,
-            double lambda, std::size_t side, const CellBox& box) noexcept {
-  if (box.is_full(side)) {
-    mix(mass, previous, lambda);
-    return;
-  }
+double settle_in(std::span<double> belief, std::span<const double> in,
+                 double pending, double lambda, std::size_t side,
+                 const CellBox& box) {
+  BNLOC_ASSERT(belief.size() == in.size(), "settle grid shape mismatch");
+  if (box.is_full(side))
+    return 0.5 * simd::settle(belief.data(), in.data(), pending, lambda,
+                              belief.size());
   const std::size_t w = box.width();
+  double l1 = 0.0;
   for (std::int32_t y = box.y0; y <= box.y1; ++y) {
     const std::size_t off = static_cast<std::size_t>(y) * side +
                             static_cast<std::size_t>(box.x0);
-    simd::mix(mass.data() + off, previous.data() + off, lambda, w);
+    l1 += simd::settle(belief.data() + off, in.data() + off, pending, lambda,
+                       w);
   }
+  return 0.5 * l1;
 }
 
 double total_variation_in(std::span<const double> a,

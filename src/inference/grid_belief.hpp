@@ -166,18 +166,31 @@ double peak(std::span<const double> mass) noexcept;
 // Caller invariant: mass outside `box` is exactly zero. Each delegates to
 // the whole-buffer form when the box covers the grid.
 
-/// Pointwise multiply inside the box (factor + floor), renormalizing over
-/// the box. Falls back to uniform-in-box if the box mass vanishes.
-void multiply_in(std::span<double> mass, std::span<const double> factor,
-                 double floor, std::size_t side, const CellBox& box);
+/// Fold one message into a running product inside the box, in one pass:
+/// out = (in / pending) * (t(factor) + floor), and clear `factor` in the
+/// box (simd::fold; t is 1 - P(link) for a `nonlink` message). `pending`
+/// is the normalizer `in` still owes (1.0 for a normalized `in`); `out`
+/// may alias `in`. Returns the normalizer `out` owes: the box sum, or 1.0
+/// after the uniform-in-box fallback when that sum is not positive. Per
+/// cell this is the historical normalize, transform and multiply, so the
+/// result is bit-identical to applying them in turn.
+[[nodiscard]] double fold_in(std::span<double> out, std::span<const double> in,
+                             double pending, std::span<double> factor,
+                             double floor, bool nonlink, std::size_t side,
+                             const CellBox& box);
 
 /// Renormalize over the box (uniform-in-box fallback).
 void normalize_in(std::span<double> mass, std::size_t side,
                   const CellBox& box) noexcept;
 
-/// Damping restricted to the box: mass = (1-lambda)*mass + lambda*previous.
-void mix_in(std::span<double> mass, std::span<const double> previous,
-            double lambda, std::size_t side, const CellBox& box) noexcept;
+/// Settle a belief inside the box, in one pass: belief = (1-lambda) *
+/// (in / pending) + lambda * belief (simd::settle). Returns the total
+/// variation between the old and new belief — bit-identical to normalize,
+/// damp, total_variation_in and copy_in applied in turn.
+[[nodiscard]] double settle_in(std::span<double> belief,
+                               std::span<const double> in, double pending,
+                               double lambda, std::size_t side,
+                               const CellBox& box);
 
 /// Half L1 distance when both buffers are zero outside the box.
 [[nodiscard]] double total_variation_in(std::span<const double> a,

@@ -196,6 +196,13 @@ double RangeKernel::correlate(const SparseBelief& src, std::span<double> out,
   } else {
     std::fill(out.begin(), out.end(), 0.0);
   }
+  return correlate_zeroed(src, out, side, clip);
+}
+
+double RangeKernel::correlate_zeroed(const SparseBelief& src,
+                                     std::span<double> out, std::size_t side,
+                                     const CellBox* clip) const {
+  const bool clipped = clip != nullptr && !clip->is_full(side);
   accumulate(src, out, side, clip);
   if (src.cells.empty() || weights_.empty()) return 0.0;
   // Bounding box of every touched cell: the summary's cell extent dilated

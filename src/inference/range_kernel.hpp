@@ -75,6 +75,17 @@ class RangeKernel {
   double correlate(const SparseBelief& src, std::span<double> out,
                    std::size_t side, const CellBox* clip = nullptr) const;
 
+  /// correlate() without the clear: `out` must already be zero inside the
+  /// clip (the whole grid without one). Bit-identical to correlate() there.
+  /// The grid engine keeps its message buffer zero between messages
+  /// (simd::fold clears what it multiplies in), so it never pays for a
+  /// clearing pass. A return of 0 leaves `out` zero: kernel weights and
+  /// summary masses are non-negative, so a zero peak means the replay only
+  /// added zeros.
+  double correlate_zeroed(const SparseBelief& src, std::span<double> out,
+                          std::size_t side,
+                          const CellBox* clip = nullptr) const;
+
   [[nodiscard]] std::size_t stamp_count() const noexcept {
     return weights_.size();
   }

@@ -1,5 +1,6 @@
 #include "support/simd.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -74,6 +75,48 @@ void scalar_mix(double* mass, const double* prev, double lambda,
                 std::size_t n) noexcept {
   for (std::size_t c = 0; c < n; ++c)
     mass[c] = (1.0 - lambda) * mass[c] + lambda * prev[c];
+}
+
+// One element of fold / settle: the scalar loops and every vector tail.
+template <bool kNonlink>
+double fold_one(double* out, const double* in, double pending, double* fac,
+                double floor, std::size_t c) noexcept {
+  double f = fac[c];
+  if constexpr (kNonlink) f = std::max(0.0, 1.0 - std::min(f, 1.0));
+  fac[c] = 0.0;
+  out[c] = in[c] / pending * (f + floor);
+  return out[c];
+}
+
+double settle_one(double* belief, const double* in, double pending,
+                  double lambda, std::size_t c) noexcept {
+  const double v = (1.0 - lambda) * (in[c] / pending) + lambda * belief[c];
+  const double d = v - belief[c];
+  belief[c] = v;
+  return d < 0.0 ? -d : d;
+}
+
+template <bool kNonlink>
+double scalar_fold_t(double* out, const double* in, double pending,
+                     double* fac, double floor, std::size_t n) noexcept {
+  double total = 0.0;
+  for (std::size_t c = 0; c < n; ++c)
+    total += fold_one<kNonlink>(out, in, pending, fac, floor, c);
+  return total;
+}
+
+double scalar_fold(double* out, const double* in, double pending, double* fac,
+                   double floor, bool nonlink, std::size_t n) noexcept {
+  return nonlink ? scalar_fold_t<true>(out, in, pending, fac, floor, n)
+                 : scalar_fold_t<false>(out, in, pending, fac, floor, n);
+}
+
+double scalar_settle(double* belief, const double* in, double pending,
+                     double lambda, std::size_t n) noexcept {
+  double l1 = 0.0;
+  for (std::size_t c = 0; c < n; ++c)
+    l1 += settle_one(belief, in, pending, lambda, c);
+  return l1;
 }
 
 #if defined(BNLOC_SIMD_X86)
@@ -167,6 +210,64 @@ void sse2_mix(double* mass, const double* prev, double lambda,
                   _mm_add_pd(_mm_mul_pd(vo, _mm_loadu_pd(mass + c)),
                              _mm_mul_pd(vl, _mm_loadu_pd(prev + c))));
   for (; c < n; ++c) mass[c] = (1.0 - lambda) * mass[c] + lambda * prev[c];
+}
+
+// min(f, 1) and max(0, y) keep std::min / std::max operand order
+// ((1 < f) ? 1 : f, (0 < y) ? y : 0), so the transform matches scalar
+// even for NaN.
+template <bool kNonlink>
+double sse2_fold_t(double* out, const double* in, double pending, double* fac,
+                   double floor, std::size_t n) noexcept {
+  const __m128d vp = _mm_set1_pd(pending);
+  const __m128d vfloor = _mm_set1_pd(floor);
+  const __m128d one = _mm_set1_pd(1.0);
+  const __m128d zero = _mm_setzero_pd();
+  __m128d acc = _mm_setzero_pd();
+  std::size_t c = 0;
+  for (; c + 2 <= n; c += 2) {
+    __m128d f = _mm_loadu_pd(fac + c);
+    if constexpr (kNonlink)
+      f = _mm_max_pd(_mm_sub_pd(one, _mm_min_pd(one, f)), zero);
+    _mm_storeu_pd(fac + c, zero);
+    const __m128d d = _mm_mul_pd(_mm_div_pd(_mm_loadu_pd(in + c), vp),
+                                 _mm_add_pd(f, vfloor));
+    _mm_storeu_pd(out + c, d);
+    acc = _mm_add_pd(acc, d);
+  }
+  double total = _mm_cvtsd_f64(acc) +
+                 _mm_cvtsd_f64(_mm_unpackhi_pd(acc, acc));
+  for (; c < n; ++c)
+    total += fold_one<kNonlink>(out, in, pending, fac, floor, c);
+  return total;
+}
+
+double sse2_fold(double* out, const double* in, double pending, double* fac,
+                 double floor, bool nonlink, std::size_t n) noexcept {
+  return nonlink ? sse2_fold_t<true>(out, in, pending, fac, floor, n)
+                 : sse2_fold_t<false>(out, in, pending, fac, floor, n);
+}
+
+double sse2_settle(double* belief, const double* in, double pending,
+                   double lambda, std::size_t n) noexcept {
+  const __m128d vp = _mm_set1_pd(pending);
+  const __m128d vl = _mm_set1_pd(lambda);
+  const __m128d vo = _mm_set1_pd(1.0 - lambda);
+  const __m128d zero = _mm_setzero_pd();
+  __m128d acc = _mm_setzero_pd();
+  std::size_t c = 0;
+  for (; c + 2 <= n; c += 2) {
+    const __m128d b = _mm_loadu_pd(belief + c);
+    const __m128d v =
+        _mm_add_pd(_mm_mul_pd(vo, _mm_div_pd(_mm_loadu_pd(in + c), vp)),
+                   _mm_mul_pd(vl, b));
+    const __m128d d = _mm_sub_pd(v, b);
+    acc = _mm_add_pd(acc, _mm_max_pd(d, _mm_sub_pd(zero, d)));
+    _mm_storeu_pd(belief + c, v);
+  }
+  double l1 = _mm_cvtsd_f64(acc) +
+              _mm_cvtsd_f64(_mm_unpackhi_pd(acc, acc));
+  for (; c < n; ++c) l1 += settle_one(belief, in, pending, lambda, c);
+  return l1;
 }
 
 #endif  // BNLOC_SIMD_X86
@@ -282,6 +383,62 @@ void avx2_mix(double* mass, const double* prev, double lambda,
   for (; c < n; ++c) mass[c] = (1.0 - lambda) * mass[c] + lambda * prev[c];
 }
 
+template <bool kNonlink>
+BNLOC_TARGET_AVX2 double avx2_fold_t(double* out, const double* in,
+                                     double pending, double* fac, double floor,
+                                     std::size_t n) noexcept {
+  const __m256d vp = _mm256_set1_pd(pending);
+  const __m256d vfloor = _mm256_set1_pd(floor);
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d zero = _mm256_setzero_pd();
+  __m256d acc = _mm256_setzero_pd();
+  std::size_t c = 0;
+  for (; c + 4 <= n; c += 4) {
+    __m256d f = _mm256_loadu_pd(fac + c);
+    if constexpr (kNonlink)
+      f = _mm256_max_pd(_mm256_sub_pd(one, _mm256_min_pd(one, f)), zero);
+    _mm256_storeu_pd(fac + c, zero);
+    const __m256d d =
+        _mm256_mul_pd(_mm256_div_pd(_mm256_loadu_pd(in + c), vp),
+                      _mm256_add_pd(f, vfloor));
+    _mm256_storeu_pd(out + c, d);
+    acc = _mm256_add_pd(acc, d);
+  }
+  double total = hsum4(acc);
+  for (; c < n; ++c)
+    total += fold_one<kNonlink>(out, in, pending, fac, floor, c);
+  return total;
+}
+
+double avx2_fold(double* out, const double* in, double pending, double* fac,
+                 double floor, bool nonlink, std::size_t n) noexcept {
+  return nonlink ? avx2_fold_t<true>(out, in, pending, fac, floor, n)
+                 : avx2_fold_t<false>(out, in, pending, fac, floor, n);
+}
+
+BNLOC_TARGET_AVX2
+double avx2_settle(double* belief, const double* in, double pending,
+                   double lambda, std::size_t n) noexcept {
+  const __m256d vp = _mm256_set1_pd(pending);
+  const __m256d vl = _mm256_set1_pd(lambda);
+  const __m256d vo = _mm256_set1_pd(1.0 - lambda);
+  const __m256d zero = _mm256_setzero_pd();
+  __m256d acc = zero;
+  std::size_t c = 0;
+  for (; c + 4 <= n; c += 4) {
+    const __m256d b = _mm256_loadu_pd(belief + c);
+    const __m256d v = _mm256_add_pd(
+        _mm256_mul_pd(vo, _mm256_div_pd(_mm256_loadu_pd(in + c), vp)),
+        _mm256_mul_pd(vl, b));
+    const __m256d d = _mm256_sub_pd(v, b);
+    acc = _mm256_add_pd(acc, _mm256_max_pd(d, _mm256_sub_pd(zero, d)));
+    _mm256_storeu_pd(belief + c, v);
+  }
+  double l1 = hsum4(acc);
+  for (; c < n; ++c) l1 += settle_one(belief, in, pending, lambda, c);
+  return l1;
+}
+
 #endif  // BNLOC_SIMD_HAS_AVX2
 
 #if defined(BNLOC_SIMD_NEON)
@@ -373,6 +530,62 @@ void neon_mix(double* mass, const double* prev, double lambda,
   for (; c < n; ++c) mass[c] = (1.0 - lambda) * mass[c] + lambda * prev[c];
 }
 
+// vminq/vmaxq propagate NaN where std::min/std::max do not, so the
+// non-link transform is spelled as the std compare-and-select.
+template <bool kNonlink>
+double neon_fold_t(double* out, const double* in, double pending, double* fac,
+                   double floor, std::size_t n) noexcept {
+  const float64x2_t vp = vdupq_n_f64(pending);
+  const float64x2_t vfloor = vdupq_n_f64(floor);
+  const float64x2_t one = vdupq_n_f64(1.0);
+  const float64x2_t zero = vdupq_n_f64(0.0);
+  float64x2_t acc = vdupq_n_f64(0.0);
+  std::size_t c = 0;
+  for (; c + 2 <= n; c += 2) {
+    float64x2_t f = vld1q_f64(fac + c);
+    if constexpr (kNonlink) {
+      const float64x2_t y =
+          vsubq_f64(one, vbslq_f64(vcltq_f64(one, f), one, f));
+      f = vbslq_f64(vcltq_f64(zero, y), y, zero);
+    }
+    vst1q_f64(fac + c, zero);
+    const float64x2_t d = vmulq_f64(vdivq_f64(vld1q_f64(in + c), vp),
+                                    vaddq_f64(f, vfloor));
+    vst1q_f64(out + c, d);
+    acc = vaddq_f64(acc, d);
+  }
+  double total = vgetq_lane_f64(acc, 0) + vgetq_lane_f64(acc, 1);
+  for (; c < n; ++c)
+    total += fold_one<kNonlink>(out, in, pending, fac, floor, c);
+  return total;
+}
+
+double neon_fold(double* out, const double* in, double pending, double* fac,
+                 double floor, bool nonlink, std::size_t n) noexcept {
+  return nonlink ? neon_fold_t<true>(out, in, pending, fac, floor, n)
+                 : neon_fold_t<false>(out, in, pending, fac, floor, n);
+}
+
+double neon_settle(double* belief, const double* in, double pending,
+                   double lambda, std::size_t n) noexcept {
+  const float64x2_t vp = vdupq_n_f64(pending);
+  const float64x2_t vl = vdupq_n_f64(lambda);
+  const float64x2_t vo = vdupq_n_f64(1.0 - lambda);
+  float64x2_t acc = vdupq_n_f64(0.0);
+  std::size_t c = 0;
+  for (; c + 2 <= n; c += 2) {
+    const float64x2_t b = vld1q_f64(belief + c);
+    const float64x2_t v =
+        vaddq_f64(vmulq_f64(vo, vdivq_f64(vld1q_f64(in + c), vp)),
+                  vmulq_f64(vl, b));
+    acc = vaddq_f64(acc, vabdq_f64(v, b));
+    vst1q_f64(belief + c, v);
+  }
+  double l1 = vgetq_lane_f64(acc, 0) + vgetq_lane_f64(acc, 1);
+  for (; c < n; ++c) l1 += settle_one(belief, in, pending, lambda, c);
+  return l1;
+}
+
 #endif  // BNLOC_SIMD_NEON
 
 // --- Dispatch table -------------------------------------------------------
@@ -388,6 +601,10 @@ struct Ops {
   double (*l1_diff)(const double*, const double*, std::size_t) noexcept;
   void (*axpy)(double*, const double*, double, std::size_t) noexcept;
   void (*mix)(double*, const double*, double, std::size_t) noexcept;
+  double (*fold)(double*, const double*, double, double*, double, bool,
+                 std::size_t) noexcept;
+  double (*settle)(double*, const double*, double, double,
+                   std::size_t) noexcept;
 };
 
 constexpr Ops kScalarOps{Mode::scalar,
@@ -398,7 +615,9 @@ constexpr Ops kScalarOps{Mode::scalar,
                          scalar_max0,
                          scalar_l1_diff,
                          scalar_axpy,
-                         scalar_mix};
+                         scalar_mix,
+                         scalar_fold,
+                         scalar_settle};
 
 #if defined(BNLOC_SIMD_X86)
 constexpr Ops kSse2Ops{Mode::sse2,
@@ -409,7 +628,9 @@ constexpr Ops kSse2Ops{Mode::sse2,
                        sse2_max0,
                        sse2_l1_diff,
                        sse2_axpy,
-                       sse2_mix};
+                       sse2_mix,
+                       sse2_fold,
+                       sse2_settle};
 #endif
 #if defined(BNLOC_SIMD_HAS_AVX2)
 constexpr Ops kAvx2Ops{Mode::avx2,
@@ -420,7 +641,9 @@ constexpr Ops kAvx2Ops{Mode::avx2,
                        avx2_max0,
                        avx2_l1_diff,
                        avx2_axpy,
-                       avx2_mix};
+                       avx2_mix,
+                       avx2_fold,
+                       avx2_settle};
 #endif
 #if defined(BNLOC_SIMD_NEON)
 constexpr Ops kNeonOps{Mode::neon,
@@ -431,7 +654,9 @@ constexpr Ops kNeonOps{Mode::neon,
                        neon_max0,
                        neon_l1_diff,
                        neon_axpy,
-                       neon_mix};
+                       neon_mix,
+                       neon_fold,
+                       neon_settle};
 #endif
 
 bool avx2_available() noexcept {
@@ -538,6 +763,16 @@ void axpy(double* out, const double* w, double m, std::size_t n) noexcept {
 void mix(double* mass, const double* prev, double lambda,
          std::size_t n) noexcept {
   active().mix(mass, prev, lambda, n);
+}
+
+double fold(double* out, const double* in, double pending, double* fac,
+            double floor, bool nonlink, std::size_t n) noexcept {
+  return active().fold(out, in, pending, fac, floor, nonlink, n);
+}
+
+double settle(double* belief, const double* in, double pending,
+              double lambda, std::size_t n) noexcept {
+  return active().settle(belief, in, pending, lambda, n);
 }
 
 }  // namespace bnloc::simd

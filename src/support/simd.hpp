@@ -1,9 +1,9 @@
 // Portable SIMD belief primitives with runtime dispatch.
 //
-// The dense inner loops of the grid engine — belief products, normalization,
-// peak scans, total-variation reductions, and the kernel replay's
-// accumulate — all reduce to a handful of contiguous double-buffer
-// operations. This header is their single home: each primitive has a scalar
+// The dense inner loops of the grid engine — belief products (fold),
+// damping with its residual (settle), normalization, peak scans,
+// total-variation reductions, and the kernel replay's accumulate — all
+// reduce to a handful of contiguous double-buffer operations. This header is their single home: each primitive has a scalar
 // implementation that is bit-identical to the historical hand-written loop,
 // plus vector implementations (AVX2 / SSE2 on x86-64, NEON on aarch64)
 // selected once at runtime from CPU capabilities.
@@ -76,5 +76,25 @@ void axpy(double* out, const double* w, double m, std::size_t n) noexcept;
 /// mass[i] = (1 - lambda) * mass[i] + lambda * prev[i] (belief damping).
 void mix(double* mass, const double* prev, double lambda,
          std::size_t n) noexcept;
+
+/// Fold one message into a running belief product, clearing the message:
+///   out[i] = (in[i] / pending) * (t(fac[i]) + floor);  fac[i] = 0
+/// where t is the identity, or for a `nonlink` message the negative
+/// evidence t(f) = max(0, 1 - min(f, 1)). Returns the sum of the written
+/// entries. `pending` is the normalizer `in` still owes (x / 1.0 is exact);
+/// `out` may alias `in`, `fac` aliases neither. Per element and per lane
+/// this is div_all, the non-link transform and mul_add_floor_sum in that
+/// order, so outputs and sum are bit-equal to that composition in the
+/// same mode.
+double fold(double* out, const double* in, double pending, double* fac,
+            double floor, bool nonlink, std::size_t n) noexcept;
+
+/// Damp a belief toward its new product and measure the move:
+///   v = (1 - lambda) * (in[i] / pending) + lambda * belief[i];
+///   l1 += |v - belief[i]|;  belief[i] = v.
+/// Returns l1. Bit-equal to div_all, mix, l1_diff and a copy in the same
+/// mode.
+double settle(double* belief, const double* in, double pending,
+              double lambda, std::size_t n) noexcept;
 
 }  // namespace bnloc::simd

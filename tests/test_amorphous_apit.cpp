@@ -120,8 +120,9 @@ TEST(Apit, AnchorsPreservedAndDeterministic) {
   const auto b = ApitLocalizer().localize(s, r2);
   for (std::size_t i = 0; i < s.node_count(); ++i) {
     ASSERT_EQ(a.estimates[i].has_value(), b.estimates[i].has_value());
-    if (a.estimates[i])
+    if (a.estimates[i]) {
       EXPECT_EQ(*a.estimates[i], *b.estimates[i]);
+    }
   }
 }
 

@@ -330,7 +330,7 @@ TEST(RunTelemetry, WorkCountersAndHistogramsIdenticalAcrossThreadCounts) {
   // contract as the aggregates themselves.
   const GridBncl engine;
   const ScenarioConfig cfg = small_config();
-  std::uint64_t serial_visits = 0, serial_kernel = 0;
+  std::uint64_t serial_visits = 0, serial_kernel = 0, serial_bytes = 0;
   std::uint64_t serial_hist_count = 0, serial_hist_sum = 0;
   for (std::size_t threads : {1u, 4u}) {
     obs::RunTelemetry telemetry;
@@ -341,24 +341,58 @@ TEST(RunTelemetry, WorkCountersAndHistogramsIdenticalAcrossThreadCounts) {
     const obs::Registry& reg = telemetry.aggregate.registry;
     const std::uint64_t visits = reg.counter("grid.cell_visits");
     const std::uint64_t kernel = reg.counter("grid.kernel_cells");
+    const std::uint64_t bytes = reg.counter("grid.update_bytes");
     const std::uint64_t hist_count =
         reg.histogram_count("grid.round.residual");
     const std::uint64_t hist_sum = reg.histogram_sum("grid.round.residual");
     EXPECT_GT(visits, 0u);
     EXPECT_GT(kernel, 0u);
+    EXPECT_GT(bytes, 0u);
     EXPECT_GT(hist_count, 0u);
     if (threads == 1) {
       serial_visits = visits;
       serial_kernel = kernel;
+      serial_bytes = bytes;
       serial_hist_count = hist_count;
       serial_hist_sum = hist_sum;
     } else {
       EXPECT_EQ(visits, serial_visits);
       EXPECT_EQ(kernel, serial_kernel);
+      EXPECT_EQ(bytes, serial_bytes);
       EXPECT_EQ(hist_count, serial_hist_count);
       EXPECT_EQ(hist_sum, serial_hist_sum);
     }
   }
+}
+
+// grid.update_bytes models the update's two fused passes: 32 B per ROI cell
+// per folded message, 24 B per ROI cell per node update. On a single-level
+// grid every ROI is the whole grid, so with U updates and F folds
+// cell_visits = cells·(3U + F) and update_bytes = cells·(32F + 24U); both
+// must solve to whole, consistent counts.
+TEST(RunTelemetry, UpdateBytesFollowTheTrafficModel) {
+  const GridBncl engine;  // single level: every ROI is the full grid
+  obs::Telemetry sink;
+  {
+    const obs::TelemetryScope scope(&sink);
+    Rng rng(3);
+    (void)engine.localize(build_scenario(small_config()), rng);
+  }
+  const obs::Registry& reg = sink.registry;
+  const std::uint64_t cells = 48 * 48;
+  const std::uint64_t visits = reg.counter("grid.cell_visits");
+  const std::uint64_t bytes = reg.counter("grid.update_bytes");
+  ASSERT_EQ(visits % cells, 0u);
+  ASSERT_EQ(bytes % cells, 0u);
+  const std::uint64_t v = visits / cells, b = bytes / cells;
+  ASSERT_EQ((32 * v - b) % 72, 0u);
+  const std::uint64_t updates = (32 * v - b) / 72;
+  ASSERT_GE(v, 3 * updates);
+  const std::uint64_t folds = v - 3 * updates;
+  EXPECT_GT(updates, 0u);
+  EXPECT_GT(folds, 0u);
+  // Every fold multiplies in a computed message.
+  EXPECT_LE(folds, reg.counter("grid.messages.computed"));
 }
 
 TEST(RunTelemetry, SpanTrialsCapturesNestedSpansDeterministically) {

@@ -17,10 +17,13 @@ double integrate(const PositionPrior& prior, const Aabb& box,
   const double dx = box.width() / static_cast<double>(grid);
   const double dy = box.height() / static_cast<double>(grid);
   double sum = 0.0;
-  for (std::size_t iy = 0; iy < grid; ++iy)
-    for (std::size_t ix = 0; ix < grid; ++ix)
-      sum += prior.density({box.lo.x + (ix + 0.5) * dx,
-                            box.lo.y + (iy + 0.5) * dy});
+  for (std::size_t iy = 0; iy < grid; ++iy) {
+    const double y = box.lo.y + (static_cast<double>(iy) + 0.5) * dy;
+    for (std::size_t ix = 0; ix < grid; ++ix) {
+      const double x = box.lo.x + (static_cast<double>(ix) + 0.5) * dx;
+      sum += prior.density({x, y});
+    }
+  }
   return sum * dx * dy;
 }
 

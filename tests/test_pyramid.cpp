@@ -102,7 +102,9 @@ TEST(PyramidUpsample, SummaryTranslationKeepsOrderBoundsAndMass) {
   double total = 0.0;
   for (std::size_t e = 0; e < out.size(); ++e) {
     EXPECT_LT(out.cells[e], fine.cell_count());
-    if (e > 0) EXPECT_GE(out.mass[e - 1], out.mass[e]);  // descending
+    if (e > 0) {
+      EXPECT_GE(out.mass[e - 1], out.mass[e]);  // descending
+    }
     total += out.mass[e];
   }
   EXPECT_NEAR(total, 1.0, 1e-5);  // float payload masses, renormalized

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 namespace bnloc {
@@ -120,6 +122,77 @@ TEST(RangeKernel, EdgeClippingDropsOutOfGridStamps) {
   EXPECT_GT(*std::max_element(out.begin(), out.end()), 0.0);
 }
 
+// The non-clearing correlate the grid engine runs: into a buffer that is
+// already zero it must reproduce the clearing form bit for bit, whole-grid
+// and under a ROI clip, and return the same peak.
+TEST(RangeKernel, CorrelateIntoZeroMatchesClearingForm) {
+  constexpr std::size_t side = 33;  // odd rows exercise every SIMD tail
+  const GridBelief shape(Aabb::unit(), side);
+  const RangeKernel k =
+      RangeKernel::make_range(0.25, gaussian_spec(0.1, 0.3), shape);
+  GridBelief src(Aabb::unit(), side);
+  src.set_from_prior(*GaussianPrior::isotropic({0.4, 0.55}, 0.05));
+  const SparseBelief sp = src.sparsify(0.995, 32);
+  ASSERT_GT(sp.size(), 1u);
+
+  const CellBox clip{5, 27, 9, 30};
+  for (const CellBox* box : {static_cast<const CellBox*>(nullptr), &clip}) {
+    // The clearing form starts from garbage; the other from zeros.
+    std::vector<double> cleared(side * side, 7.5), zeroed(side * side, 0.0);
+    const double peak_cleared = k.correlate(sp, cleared, side, box);
+    const double peak_zeroed = k.correlate_zeroed(sp, zeroed, side, box);
+    ASSERT_GT(peak_cleared, 0.0);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(peak_cleared),
+              std::bit_cast<std::uint64_t>(peak_zeroed));
+    const CellBox rows = box ? *box : CellBox::full(side);
+    for (std::int32_t y = rows.y0; y <= rows.y1; ++y)
+      for (std::int32_t x = rows.x0; x <= rows.x1; ++x) {
+        const std::size_t c = static_cast<std::size_t>(y) * side +
+                              static_cast<std::size_t>(x);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(cleared[c]),
+                  std::bit_cast<std::uint64_t>(zeroed[c]))
+            << (box ? "clipped" : "full") << " cell " << c;
+      }
+    // Outside the clip the non-clearing form wrote nothing.
+    if (box) {
+      for (std::size_t c = 0; c < zeroed.size(); ++c) {
+        const auto x = static_cast<std::int32_t>(c % side);
+        const auto y = static_cast<std::int32_t>(c / side);
+        if (x < clip.x0 || x > clip.x1 || y < clip.y0 || y > clip.y1) {
+          ASSERT_EQ(zeroed[c], 0.0) << "cell " << c;
+        }
+      }
+    }
+  }
+}
+
+// A message that puts no mass in range is skipped by the engine without a
+// fold to clear it, so the zero-peak return must leave the buffer zero —
+// for a summary of zero masses and for one whose footprint misses the clip.
+TEST(RangeKernel, CorrelateZeroPeakLeavesBufferZero) {
+  constexpr std::size_t side = 32;
+  const GridBelief shape(Aabb::unit(), side);
+  const RangeKernel k =
+      RangeKernel::make_range(0.1, gaussian_spec(0.1, 0.15), shape);
+
+  SparseBelief massless;
+  massless.cells = {static_cast<std::uint32_t>(shape.cell_at({0.5, 0.5})),
+                    static_cast<std::uint32_t>(shape.cell_at({0.3, 0.6}))};
+  massless.mass = {0.0F, 0.0F};
+  std::vector<double> out(side * side, 0.0);
+  EXPECT_EQ(k.correlate_zeroed(massless, out, side), 0.0);
+  EXPECT_TRUE(std::all_of(out.begin(), out.end(),
+                          [](double v) { return v == 0.0; }));
+
+  GridBelief corner(Aabb::unit(), side);
+  corner.set_delta({0.02, 0.02});
+  const CellBox far_box{20, 31, 20, 31};  // beyond the 0.1 + 3.5σ annulus
+  EXPECT_EQ(k.correlate_zeroed(corner.sparsify(1.0, 1), out, side, &far_box),
+            0.0);
+  EXPECT_TRUE(std::all_of(out.begin(), out.end(),
+                          [](double v) { return v == 0.0; }));
+}
+
 TEST(ConnectivityKernel, DiskOfLinkProbability) {
   const GridBelief shape(Aabb::unit(), 32);
   const RadioSpec radio = make_radio(0.2, RangingType::gaussian, 0.1);
@@ -130,8 +203,12 @@ TEST(ConnectivityKernel, DiskOfLinkProbability) {
   k.accumulate(src.sparsify(1.0, 1), out, 32);
   for (std::size_t c = 0; c < out.size(); ++c) {
     const double r = distance(shape.cell_center(c), {0.5, 0.5});
-    if (r < 0.2 - 0.05) EXPECT_NEAR(out[c], 1.0, 1e-9);
-    if (r > 0.2 + 0.05) EXPECT_EQ(out[c], 0.0);
+    if (r < 0.2 - 0.05) {
+      EXPECT_NEAR(out[c], 1.0, 1e-9);
+    }
+    if (r > 0.2 + 0.05) {
+      EXPECT_EQ(out[c], 0.0);
+    }
   }
 }
 

@@ -64,6 +64,14 @@ void expect_payload_identical(const ServeResponse& a, const ServeResponse& b) {
   EXPECT_TRUE(same_bits(a.report.penalized_mean, b.report.penalized_mean));
 }
 
+/// prefix + n. Appends rather than `"r" + std::to_string(n)`, which GCC 12
+/// inlines into a memcpy it mis-reports as overlapping (-Wrestrict).
+std::string numbered(const char* prefix, std::size_t n) {
+  std::string s = prefix;
+  s += std::to_string(n);
+  return s;
+}
+
 /// Tiny request: fast enough to serve dozens per test.
 ServeRequest tiny_request(const std::string& tenant, const std::string& id,
                           std::uint64_t seed,
@@ -256,7 +264,7 @@ TEST(BatchService, SoloVsBatchBitIdenticalAcrossThreadCounts) {
   std::vector<ServeRequest> batch;
   const char* tenants[] = {"a", "b", "c"};
   for (std::size_t i = 0; i < 32; ++i) {
-    ServeRequest req = tiny_request(tenants[i % 3], "r" + std::to_string(i),
+    ServeRequest req = tiny_request(tenants[i % 3], numbered("r", i),
                                     100 + (i % 4));
     if (i % 8 == 3) req.engine = EngineKind::particle;
     if (i % 8 == 5) req.engine = EngineKind::gauss;
@@ -289,8 +297,8 @@ TEST(BatchService, SharingPolicyDoesNotChangeOutputs) {
 TEST(BatchService, StreamsResultsInRequestOrder) {
   std::vector<ServeRequest> batch;
   for (std::size_t i = 0; i < 16; ++i)
-    batch.push_back(tiny_request("t" + std::to_string(i % 2),
-                                 "r" + std::to_string(i), 50 + i));
+    batch.push_back(tiny_request(numbered("t", i % 2), numbered("r", i),
+                                 50 + i));
   BatchService service(ServeConfig{.threads = 4});
   std::vector<std::string> streamed_ids;
   std::vector<std::string> lines;
@@ -584,8 +592,9 @@ TEST(BatchService, TenantLatencyPercentilesWithoutPayloadChange) {
   // a single payload bit.
   std::vector<ServeRequest> batch;
   for (int i = 0; i < 6; ++i)
-    batch.push_back(tiny_request("t", "r" + std::to_string(i),
-                                 static_cast<std::uint64_t>(i + 1)));
+    batch.push_back(
+        tiny_request("t", numbered("r", static_cast<std::size_t>(i)),
+                     static_cast<std::uint64_t>(i + 1)));
 
   BatchService plain(ServeConfig{.threads = 2});
   ServeConfig instrumented_cfg{.threads = 2};

@@ -9,11 +9,18 @@
 //    reassociate across lanes, so they agree within a tight relative
 //    tolerance; max0 is exact under any association;
 //  * odd lengths exercise the vector tail handling — lengths and grid
-//    sides here are chosen to leave 1..3 remainder elements per lane width.
+//    sides here are chosen to leave 1..3 remainder elements per lane width;
+//  * the fused update primitives (fold, settle) are bit-equal, outputs and
+//    returned sums alike, to the composition of primitives they replace in
+//    the same mode — same per-lane accumulators (4 on AVX2, 2 on SSE2 and
+//    NEON, sequential on scalar), same per-element operation order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -53,6 +60,27 @@ std::vector<double> random_buffer(std::size_t n, std::uint64_t seed) {
 const std::size_t kLengths[] = {0,  1,  2,  3,   5,   7,   8,    9,
                                 15, 17, 31, 33,  49,  63,  65,   17 * 17,
                                 31 * 31, 49 * 49};
+
+/// Bitwise equality: distinguishes -0.0 from 0.0 and compares NaN payloads.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(),
+                    [](double x, double y) { return same_bits(x, y); });
+}
+
+bool all_zero(const std::vector<double>& v) {
+  return std::all_of(v.begin(), v.end(),
+                     [](double x) { return same_bits(x, 0.0); });
+}
+
+/// The grid engine's non-link message transform m = 1 - P(link), capped.
+void nonlink_transform(std::vector<double>& f) {
+  for (double& x : f) x = std::max(0.0, 1.0 - std::min(x, 1.0));
+}
 
 class SimdModes : public ::testing::Test {
  protected:
@@ -143,6 +171,146 @@ TEST_F(SimdModes, ReductionsAgreeWithinTolerance) {
   }
 }
 
+// fold == div_all (skipped at pending 1, where x / 1.0 is exact), the
+// non-link transform, then mul_add_floor_sum — in every mode, at every
+// length 0..67 (each lane width's tails), in place and out of place — and
+// it hands the message buffer back all zero.
+TEST_F(SimdModes, FoldBitEqualsDivTransformMultiply) {
+  for (const simd::Mode m : available_modes()) {
+    simd::set_mode(m);
+    for (std::size_t n = 0; n <= 67; ++n) {
+      const std::vector<double> in = random_buffer(n, 900 + n);
+      // Overlapping kernels push a non-link accumulation past 1: cover it.
+      std::vector<double> fac = random_buffer(n, 1000 + n);
+      for (double& x : fac) x *= 1.5;
+      for (const bool nonlink : {false, true})
+        for (const double pending : {1.0, 3.7}) {
+          std::vector<double> ref = in, f = fac;
+          if (pending != 1.0) simd::div_all(ref.data(), pending, n);
+          if (nonlink) nonlink_transform(f);
+          const double total_ref =
+              simd::mul_add_floor_sum(ref.data(), f.data(), 1e-9, n);
+
+          std::vector<double> out(n, -1.0), msg = fac;
+          const double total = simd::fold(out.data(), in.data(), pending,
+                                          msg.data(), 1e-9, nonlink, n);
+          EXPECT_TRUE(same_bits(out, ref))
+              << simd::active_name() << " n=" << n << " nonlink=" << nonlink
+              << " pending=" << pending;
+          EXPECT_TRUE(same_bits(total, total_ref))
+              << simd::active_name() << " n=" << n << " sum";
+          EXPECT_TRUE(all_zero(msg)) << simd::active_name() << " n=" << n;
+
+          // In place, as the engine folds every message after the first.
+          std::vector<double> inplace = in;
+          msg = fac;
+          EXPECT_TRUE(same_bits(
+              simd::fold(inplace.data(), inplace.data(), pending, msg.data(),
+                         1e-9, nonlink, n),
+              total_ref));
+          EXPECT_TRUE(same_bits(inplace, ref))
+              << simd::active_name() << " in place n=" << n;
+          EXPECT_TRUE(all_zero(msg));
+        }
+    }
+  }
+}
+
+// A product with no mass sums to exactly zero (the engine's cue for its
+// uniform fallback) and still clears the message.
+TEST_F(SimdModes, FoldOfZeroInputSumsToZeroAndClears) {
+  for (const simd::Mode m : available_modes()) {
+    simd::set_mode(m);
+    for (const std::size_t n : {0UL, 1UL, 5UL, 67UL}) {
+      const std::vector<double> in(n, 0.0);
+      for (const bool nonlink : {false, true}) {
+        std::vector<double> out(n, 9.0), msg = random_buffer(n, 1100 + n);
+        EXPECT_TRUE(same_bits(simd::fold(out.data(), in.data(), 1.0,
+                                         msg.data(), 1e-9, nonlink, n),
+                              0.0))
+            << simd::active_name() << " n=" << n;
+        EXPECT_TRUE(all_zero(out));
+        EXPECT_TRUE(all_zero(msg));
+      }
+    }
+  }
+}
+
+// settle == div_all, mix, l1_diff against the old belief, then a copy.
+TEST_F(SimdModes, SettleBitEqualsDivMixResidualCopy) {
+  for (const simd::Mode m : available_modes()) {
+    simd::set_mode(m);
+    for (std::size_t n = 0; n <= 67; ++n) {
+      const std::vector<double> in = random_buffer(n, 1200 + n);
+      const std::vector<double> old = random_buffer(n, 1300 + n);
+      for (const double pending : {1.0, 3.7}) {
+        std::vector<double> next = in;
+        if (pending != 1.0) simd::div_all(next.data(), pending, n);
+        simd::mix(next.data(), old.data(), 0.3, n);
+        const double l1_ref = simd::l1_diff(next.data(), old.data(), n);
+
+        std::vector<double> belief = old;
+        const double l1 =
+            simd::settle(belief.data(), in.data(), pending, 0.3, n);
+        EXPECT_TRUE(same_bits(belief, next))
+            << simd::active_name() << " n=" << n << " pending=" << pending;
+        EXPECT_TRUE(same_bits(l1, l1_ref))
+            << simd::active_name() << " n=" << n << " residual";
+      }
+    }
+  }
+}
+
+// beliefops::fold_in on a sub-box: row-by-row folds, the factor cleared in
+// the box only, and a zero box sum falls back to uniform-in-box with the
+// pending normalizer reset to 1.
+TEST_F(SimdModes, FoldInClearsBoxAndFallsBackToUniform) {
+  constexpr std::size_t side = 17;
+  const CellBox box{3, 11, 4, 14};
+  for (const simd::Mode m : available_modes()) {
+    simd::set_mode(m);
+    std::vector<double> in = random_buffer(side * side, 1400);
+    std::vector<double> factor = random_buffer(side * side, 1500);
+    const std::vector<double> factor0 = factor;
+    std::vector<double> out(side * side, 0.0);
+    const double pending = beliefops::fold_in(out, in, 2.0, factor, 1e-9,
+                                              false, side, box);
+    double total = 0.0;
+    for (std::int32_t y = box.y0; y <= box.y1; ++y) {
+      const std::size_t off = static_cast<std::size_t>(y) * side +
+                              static_cast<std::size_t>(box.x0);
+      std::vector<double> row(in.begin() + static_cast<std::ptrdiff_t>(off),
+                              in.begin() + static_cast<std::ptrdiff_t>(
+                                               off + box.width()));
+      simd::div_all(row.data(), 2.0, row.size());
+      total += simd::mul_add_floor_sum(row.data(), factor0.data() + off, 1e-9,
+                                       row.size());
+      for (std::size_t t = 0; t < row.size(); ++t)
+        ASSERT_TRUE(same_bits(out[off + t], row[t])) << "cell " << off + t;
+    }
+    EXPECT_TRUE(same_bits(pending, total)) << simd::active_name();
+    for (std::size_t c = 0; c < factor.size(); ++c) {
+      const auto x = static_cast<std::int32_t>(c % side);
+      const auto y = static_cast<std::int32_t>(c / side);
+      const bool inside =
+          x >= box.x0 && x <= box.x1 && y >= box.y0 && y <= box.y1;
+      ASSERT_TRUE(same_bits(factor[c], inside ? 0.0 : factor0[c]))
+          << "cell " << c;
+    }
+
+    std::ranges::fill(in, 0.0);
+    factor = factor0;
+    EXPECT_EQ(beliefops::fold_in(out, in, 1.0, factor, 0.0, false, side, box),
+              1.0);
+    const double uniform = 1.0 / static_cast<double>(box.cell_count());
+    for (std::int32_t y = box.y0; y <= box.y1; ++y)
+      for (std::int32_t x = box.x0; x <= box.x1; ++x)
+        ASSERT_EQ(out[static_cast<std::size_t>(y) * side +
+                      static_cast<std::size_t>(x)],
+                  uniform);
+  }
+}
+
 // beliefops at odd grid sides: the dense ops route through the primitives,
 // so vector modes must agree with scalar within normalization tolerance on
 // grids whose row length is not a multiple of any lane width.
@@ -207,7 +375,9 @@ TEST_F(SimdModes, BoxRestrictedOpsMatchWholeBufferOnOddSides) {
       std::vector<double> whole = inside, boxed = inside;
       beliefops::multiply(whole, factor, 1e-9);
       beliefops::normalize(whole);
-      beliefops::multiply_in(boxed, factor, 1e-9, side, box);
+      std::vector<double> message = factor;  // fold_in clears it
+      (void)beliefops::fold_in(boxed, boxed, 1.0, message, 1e-9, false, side,
+                               box);
       beliefops::normalize_in(boxed, side, box);
       for (std::int32_t y = box.y0; y <= box.y1; ++y)
         for (std::int32_t x = box.x0; x <= box.x1; ++x) {
